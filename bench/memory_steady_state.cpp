@@ -1,19 +1,19 @@
 // Steady-state memory behaviour of the serving hot path.
 //
-// BM_MemorySteadyState: closed-loop clients against a single-model Server,
-// sweeping clients {1, 4} x seq-bucket mix {single, mixed} x pools
-// {off, on}. Each configuration warms the server first (every seq bucket
-// served enough times for the pool free lists and workspace slots to reach
-// their high-water sizes), snapshots the pool counters, then measures a
-// sustained window. The headline counter is alloc_delta_warm: buffer-pool
-// heap misses during the measured window. Lifecycle tracing is ENABLED for
-// every configuration, so the contract covers the instrumented hot path,
-// not just the bare one. With pools on this is ZERO — the
-// property CI asserts from the emitted JSON — while reuse_delta counts the
-// recycled acquisitions that replaced those allocations. rss_delta_bytes
-// reports the resident-set movement over the window (control-plane
-// allocations — promise states, queue nodes, client input vectors — are
-// outside the pool's scope and show up here, not in alloc_delta_warm).
+// BM_MemorySteadyState: closed-loop clients against a one-slot Engine,
+// sweeping clients {1, 4} x seq-bucket mix {single, mixed}. Each
+// configuration warms the slot first (every seq bucket served enough times
+// for the pool free lists and workspace slots to reach their high-water
+// sizes), snapshots the pool counters, then measures a sustained window.
+// The headline counter is alloc_delta_warm: buffer-pool heap misses during
+// the measured window. Lifecycle tracing is ENABLED for every
+// configuration, so the contract covers the instrumented hot path, not just
+// the bare one. This is ZERO — the property CI asserts from the emitted
+// JSON — while reuse_delta counts the recycled acquisitions that replaced
+// those allocations. rss_delta_bytes reports the resident-set movement
+// over the window (control-plane allocations — promise states, queue
+// nodes, client input vectors — are outside the pool's scope and show up
+// here, not in alloc_delta_warm).
 //
 // Unless --benchmark_out is given, results are also written as
 // machine-readable JSON to BENCH_memory_steady_state.json.
@@ -31,7 +31,7 @@
 #include "numerics/rng.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
-#include "serve/server.h"
+#include "serve/engine.h"
 #include "transformer/infer.h"
 
 namespace {
@@ -43,6 +43,7 @@ using namespace std::chrono_literals;
 constexpr std::size_t kMaxSeq = 64;
 constexpr int kWarmRounds = 4;
 constexpr int kRequestsPerClient = 8;
+constexpr const char* kModel = "lut-fp32";
 
 ModelConfig bench_config() {
   ModelConfig c = ModelConfig::roberta_like();
@@ -91,14 +92,14 @@ BatchInput request_for(std::uint64_t seed, std::size_t seq) {
 }
 
 /// One closed-loop wave: every client runs its request stream to completion.
-void run_wave(serve::Server& server,
+void run_wave(serve::Engine& engine,
               const std::vector<std::vector<BatchInput>>& streams) {
   std::vector<std::thread> threads;
   threads.reserve(streams.size());
   for (std::size_t c = 0; c < streams.size(); ++c) {
     threads.emplace_back([&, c] {
       for (const BatchInput& in : streams[c]) {
-        Tensor logits = server.submit(in).get();
+        Tensor logits = engine.submit(kModel, in).get();
         benchmark::DoNotOptimize(logits.data());
       }
     });
@@ -109,13 +110,6 @@ void run_wave(serve::Server& server,
 void BM_MemorySteadyState(benchmark::State& state) {
   const std::size_t clients = static_cast<std::size_t>(state.range(0));
   const bool mixed_seq = state.range(1) != 0;
-  const bool use_pool = state.range(2) != 0;
-
-  serve::ServeConfig cfg;
-  cfg.max_batch = 8;
-  cfg.max_wait = 500us;
-  cfg.threads = 0;  // hardware_concurrency
-  cfg.use_pool = use_pool;
 
   // Fixed request streams: the mixed sweep alternates seq buckets 32/64 so
   // the workspace reshapes between size classes every flush; the single
@@ -128,7 +122,9 @@ void BM_MemorySteadyState(benchmark::State& state) {
           request_for(c * 1001 + static_cast<std::uint64_t>(k), seq));
     }
 
-  serve::Server server(fixture().model, *fixture().lut, cfg);
+  serve::Engine engine(serve::EngineConfig{/*threads=*/0});  // all cores
+  engine.register_model(kModel, fixture().model, *fixture().lut,
+                        {.max_batch = 8, .max_wait = 500us});
 
   // Trace the whole run: the per-thread rings are allocated once (at
   // enable() / first event per thread, i.e. during warmup), so the
@@ -138,16 +134,16 @@ void BM_MemorySteadyState(benchmark::State& state) {
 
   // Warm every seq bucket: pool free lists and workspace slots reach their
   // high-water sizes, so the measured window below is pure steady state.
-  for (int r = 0; r < kWarmRounds; ++r) run_wave(server, streams);
+  for (int r = 0; r < kWarmRounds; ++r) run_wave(engine, streams);
 
-  const serve::ServerStats warm = server.stats();
+  const serve::SlotStats warm = engine.model_stats(kModel);
   const benchutil::MemorySnapshot rss0 = benchutil::MemorySnapshot::take();
 
-  for (auto _ : state) run_wave(server, streams);
+  for (auto _ : state) run_wave(engine, streams);
 
-  const serve::ServerStats done = server.stats();
+  const serve::SlotStats done = engine.model_stats(kModel);
   const benchutil::MemorySnapshot rss1 = benchutil::MemorySnapshot::take();
-  server.shutdown();
+  engine.shutdown();
 
   const auto total_requests =
       static_cast<std::size_t>(state.iterations()) * clients *
@@ -155,7 +151,7 @@ void BM_MemorySteadyState(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(total_requests));
   state.counters["req_per_s"] = benchmark::Counter(
       static_cast<double>(total_requests), benchmark::Counter::kIsRate);
-  // Pool heap misses over the warmed window — zero with pools on.
+  // Pool heap misses over the warmed window — zero in steady state.
   state.counters["alloc_delta_warm"] =
       static_cast<double>(done.pool_alloc_count - warm.pool_alloc_count);
   state.counters["reuse_delta"] =
@@ -175,8 +171,8 @@ void BM_MemorySteadyState(benchmark::State& state) {
 }
 
 BENCHMARK(BM_MemorySteadyState)
-    ->ArgsProduct({{1, 4}, {0, 1}, {0, 1}})
-    ->ArgNames({"clients", "mixed_seq", "use_pool"})
+    ->ArgsProduct({{1, 4}, {0, 1}})
+    ->ArgNames({"clients", "mixed_seq"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -1,7 +1,7 @@
 // Closed-loop serving load generators.
 //
 // BM_ServingClosedLoop: `clients` threads each submit one request at a time
-// against a single-model Server (submit -> await -> next), sweeping clients
+// against a one-slot Engine (submit -> await -> next), sweeping clients
 // {1, 4, 16} x max_batch {1, 8, 32}. max_batch 1 is the no-batching
 // baseline — each request is its own model call; larger max_batch lets the
 // dynamic batcher pack concurrent requests of the same seq into one
@@ -15,8 +15,9 @@
 // models, with the per-slot queue unbounded (bounded=0) or bounded at a
 // small depth with ShedPolicy::kRejectNew (bounded=1). Counters report the
 // shed rate (ServerOverloaded resolutions / submissions) and each model's
-// p95 latency, so the artifact shows what admission control trades: bounded
-// queues cap p95 under burst at the cost of shed work.
+// p95 latency (interpolated from its end-to-end histogram), so the
+// artifact shows what admission control trades: bounded queues cap p95
+// under burst at the cost of shed work.
 //
 // Unless --benchmark_out is given, results are also written as
 // machine-readable JSON to BENCH_serving_throughput.json.
@@ -33,7 +34,6 @@
 #include "numerics/rng.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
-#include "serve/server.h"
 #include "transformer/infer.h"
 
 namespace {
@@ -97,10 +97,7 @@ void BM_ServingClosedLoop(benchmark::State& state) {
   const std::size_t clients = static_cast<std::size_t>(state.range(0));
   const std::size_t max_batch = static_cast<std::size_t>(state.range(1));
 
-  serve::ServeConfig cfg;
-  cfg.max_batch = max_batch;
-  cfg.max_wait = 500us;
-  cfg.threads = 0;  // hardware_concurrency
+  const serve::SlotConfig scfg{.max_batch = max_batch, .max_wait = 500us};
 
   // Each client's request stream is fixed across iterations and sweeps so
   // configurations serve identical work.
@@ -111,20 +108,21 @@ void BM_ServingClosedLoop(benchmark::State& state) {
 
   double occupancy = 0.0;
   for (auto _ : state) {
-    serve::Server server(fixture().model, *fixture().lut, cfg);
+    serve::Engine engine(serve::EngineConfig{/*threads=*/0});  // all cores
+    engine.register_model("lut-fp32", fixture().model, *fixture().lut, scfg);
     std::vector<std::thread> threads;
     threads.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
         for (const BatchInput& in : streams[c]) {
-          Tensor logits = server.submit(in).get();
+          Tensor logits = engine.submit("lut-fp32", in).get();
           benchmark::DoNotOptimize(logits.data());
         }
       });
     }
     for (auto& t : threads) t.join();
-    occupancy = server.stats().mean_batch_occupancy;
-    server.shutdown();
+    occupancy = engine.model_stats("lut-fp32").mean_batch_occupancy;
+    engine.shutdown();
   }
 
   const auto total_requests =
@@ -190,7 +188,7 @@ void BM_EngineMultiModel(benchmark::State& state) {
     submitted = stats.total.submitted + stats.total.rejected;
     shed = stats.total.rejected_overload;
     for (int mdl = 0; mdl < 2; ++mdl)
-      p95[mdl] = stats.models.at(kModels[mdl]).p95_latency_us;
+      p95[mdl] = stats.models.at(kModels[mdl]).hist_total.quantile(0.95);
   }
 
   const auto total_requests =

@@ -153,13 +153,13 @@ int main() {
     const serve::SlotStats& s = kv.second;
     std::printf("\n[%s] %llu completed in %llu batches "
                 "(mean occupancy %.2f seq/batch), %llu shed, "
-                "p50 < %.0fus, p95 < %.0fus.",
+                "p50 %.0fus, p95 %.0fus.",
                 kv.first.c_str(),
                 static_cast<unsigned long long>(s.completed),
                 static_cast<unsigned long long>(s.batches),
                 s.mean_batch_occupancy,
                 static_cast<unsigned long long>(s.rejected_overload),
-                s.p50_latency_us, s.p95_latency_us);
+                s.hist_total.quantile(0.50), s.hist_total.quantile(0.95));
     // Memory path, after the drain: alloc = slabs the slot's buffer pool
     // had to take from the heap (its working set), reuse = acquisitions
     // recycled from the free lists. Sustained serving grows reuse, not

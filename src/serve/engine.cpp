@@ -42,12 +42,11 @@ Engine::ModelSlot::ModelSlot(std::string id_,
       cfg(normalized(cfg_)),
       model(model_in, nl, cfg_.matmul),
       queue(cfg_.admission, &ledger),
-      pool(cfg.use_pool ? std::make_unique<runtime::BufferPool>() : nullptr),
-      ws(pool.get()) {
+      ws(&pool) {
   BatcherConfig bcfg;
   bcfg.max_batch = cfg.max_batch;
   bcfg.max_wait = cfg.max_wait;
-  bcfg.pool = pool.get();
+  bcfg.pool = &pool;
   // Linux truncates thread names at 15 chars; when the canonical
   // "nnlut-sched-<model>" would lose the model id to truncation, fall back
   // to the compact "ns-<model>" so concurrent slots stay distinguishable
@@ -57,13 +56,18 @@ Engine::ModelSlot::ModelSlot(std::string id_,
   // The slot's scheduler thread is the only caller of its model (and of the
   // slot's workspace); N slots mean N orchestrators, admitted FIFO-fairly
   // by the process pool.
-  const bool pooled = cfg.use_pool;
   batcher = std::make_unique<Batcher>(
       queue,
-      [this, pooled](const transformer::BatchInput& in) {
-        return pooled ? model.logits(in, ws) : model.logits(in);
-      },
+      [this](const transformer::BatchInput& in) { return model.logits(in, ws); },
       std::move(bcfg), &ledger);
+}
+
+SlotStats Engine::ModelSlot::snapshot() const {
+  // depths() reads {depth, peak} under one lock: two separate depth() /
+  // peak_depth() calls can interleave with a submit and snapshot an
+  // impossible depth > peak.
+  const RequestQueue::Depths d = queue.depths();
+  return ledger.snapshot(d.depth, d.peak, pool.stats());
 }
 
 Engine::Engine(EngineConfig cfg) : cfg_(cfg) {
@@ -93,14 +97,7 @@ void Engine::register_model(const std::string& model_id,
 void Engine::register_slot_metrics(ModelSlot* slot) {
   using Labels = obs::MetricsRegistry::Labels;
   const std::string& id = slot->id;
-  const auto snap = [slot] {
-    const RequestQueue::Depths d = slot->queue.depths();
-    if (slot->pool) {
-      const runtime::PoolStats ps = slot->pool->stats();
-      return slot->ledger.snapshot(d.depth, d.peak, &ps);
-    }
-    return slot->ledger.snapshot(d.depth, d.peak);
-  };
+  const auto snap = [slot] { return slot->snapshot(); };
 
   struct CounterField {
     const char* label;
@@ -325,15 +322,7 @@ SlotStats Engine::model_stats(std::string_view model_id) const {
   if (slot == nullptr)
     throw std::out_of_range("Engine::model_stats: unknown model '" +
                             std::string(model_id) + "'");
-  // depths() reads {depth, peak} under one lock: two separate depth() /
-  // peak_depth() calls can interleave with a submit and snapshot an
-  // impossible depth > peak.
-  const RequestQueue::Depths d = slot->queue.depths();
-  if (slot->pool) {
-    const runtime::PoolStats ps = slot->pool->stats();
-    return slot->ledger.snapshot(d.depth, d.peak, &ps);
-  }
-  return slot->ledger.snapshot(d.depth, d.peak);
+  return slot->snapshot();
 }
 
 EngineStats Engine::stats() const {
@@ -347,14 +336,7 @@ EngineStats Engine::stats() const {
   }
   EngineStats out;
   for (ModelSlot* slot : slots) {
-    SlotStats s;
-    const RequestQueue::Depths d = slot->queue.depths();
-    if (slot->pool) {
-      const runtime::PoolStats ps = slot->pool->stats();
-      s = slot->ledger.snapshot(d.depth, d.peak, &ps);
-    } else {
-      s = slot->ledger.snapshot(d.depth, d.peak);
-    }
+    SlotStats s = slot->snapshot();
     out.total.submitted += s.submitted;
     out.total.rejected += s.rejected;
     out.total.rejected_validation += s.rejected_validation;
@@ -374,16 +356,11 @@ EngineStats Engine::stats() const {
         std::max(out.total.pool_bytes_peak, s.pool_bytes_peak);
     out.total.queue_depth += s.queue_depth;
     // A high-water mark is not summable across slots (their peaks need not
-    // coincide in time): report the worst single-slot peak, like latency.
+    // coincide in time): report the worst single-slot peak.
     out.total.peak_queue_depth =
         std::max(out.total.peak_queue_depth, s.peak_queue_depth);
-    out.total.p50_latency_us = std::max(out.total.p50_latency_us,
-                                        s.p50_latency_us);
-    out.total.p95_latency_us = std::max(out.total.p95_latency_us,
-                                        s.p95_latency_us);
-    // Stage histograms aggregate exactly (bucket-wise sums), unlike the
-    // quantile fields above; the total's stage snapshots are recomputed
-    // from the merged histograms below.
+    // Histograms aggregate exactly (bucket-wise sums), so the total's
+    // quantiles are those of the merged traffic.
     out.total.hist_queue_wait.merge(s.hist_queue_wait);
     out.total.hist_batch_wait.merge(s.hist_batch_wait);
     out.total.hist_exec.merge(s.hist_exec);
@@ -391,10 +368,6 @@ EngineStats Engine::stats() const {
     out.total.hist_total.merge(s.hist_total);
     out.models.emplace(slot->id, std::move(s));
   }
-  out.total.stage_queue_wait = make_stage_snapshot(out.total.hist_queue_wait);
-  out.total.stage_batch_wait = make_stage_snapshot(out.total.hist_batch_wait);
-  out.total.stage_exec = make_stage_snapshot(out.total.hist_exec);
-  out.total.stage_resolve = make_stage_snapshot(out.total.hist_resolve);
   // Aggregate occupancy: batch-weighted mean across slots.
   if (out.total.batches > 0) {
     double requests = 0.0, sequences = 0.0;

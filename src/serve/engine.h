@@ -58,12 +58,6 @@ struct SlotConfig {
   transformer::MatmulMode matmul = transformer::MatmulMode::kFp32;
   /// Bounded queue depth + shed policy; default unbounded.
   AdmissionConfig admission = {};
-  /// Size-classed buffer pools through the slot's memory path: the forward
-  /// pass runs in a persistent Workspace, and result tensors draw pool
-  /// slabs that return when clients destroy them. false takes the original
-  /// allocate-per-call path (the baseline the determinism suite compares
-  /// against). Logits are bit-identical either way.
-  bool use_pool = true;
 };
 
 /// Process-wide knobs, applied to the RuntimeConfig at Engine construction.
@@ -120,8 +114,8 @@ class Engine {
 
   /// One slot's counters; throws std::out_of_range on unknown id.
   SlotStats model_stats(std::string_view model_id) const;
-  /// Every slot plus the aggregate (counters summed, latency quantiles the
-  /// worst across slots; stage histograms merged bucket-wise).
+  /// Every slot plus the aggregate (counters summed, latency histograms
+  /// merged bucket-wise).
   EngineStats stats() const;
 
   /// Prometheus text exposition of every registered instrument, evaluated
@@ -145,17 +139,20 @@ class Engine {
     ModelSlot(std::string id_, const transformer::TaskModel& model,
               transformer::NonlinearitySet& nl, SlotConfig cfg_);
 
+    /// Ledger counters with the queue depths and pool counters folded in.
+    SlotStats snapshot() const;
+
     const std::string id;
     const SlotConfig cfg;
     transformer::InferenceModel model;
     StatsLedger ledger;  // before queue: the queue records evictions to it
     RequestQueue queue;
-    // Memory path (use_pool only; null/empty otherwise). Declared before
-    // the batcher so the scheduler thread stops before they go away, and
-    // the pool before the workspace that draws from it. The pool itself
-    // outlives even that teardown wherever clients still hold result
-    // tensors — slabs released after pool destruction free directly.
-    std::unique_ptr<runtime::BufferPool> pool;
+    // Memory path: the forward pass runs in a persistent Workspace, and
+    // result tensors draw pool slabs that return when clients destroy them.
+    // Declared before the batcher so the scheduler thread stops before they
+    // go away, and the pool before the workspace that draws from it. Slabs
+    // clients still hold when the pool goes away free directly.
+    runtime::BufferPool pool;
     transformer::Workspace ws;
     std::unique_ptr<Batcher> batcher;  // last member: stops before the rest
   };

@@ -2,16 +2,6 @@
 
 namespace nnlut::serve {
 
-StageSnapshot make_stage_snapshot(const LatencyHistogram& h) {
-  StageSnapshot s;
-  s.count = h.count();
-  if (s.count == 0) return s;
-  s.p50_us = h.quantile(0.50);
-  s.p95_us = h.quantile(0.95);
-  s.mean_us = static_cast<double>(h.sum_us()) / static_cast<double>(s.count);
-  return s;
-}
-
 void LatencyHistogram::record(std::chrono::microseconds latency) {
   const std::uint64_t us =
       latency.count() < 0 ? 0 : static_cast<std::uint64_t>(latency.count());
@@ -20,18 +10,6 @@ void LatencyHistogram::record(std::chrono::microseconds latency) {
   ++counts_[bucket];
   ++total_;
   sum_us_ += us;
-}
-
-double LatencyHistogram::quantile_us(double q) const {
-  if (total_ == 0) return 0.0;
-  const double target = q * static_cast<double>(total_);
-  std::uint64_t seen = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    seen += counts_[b];
-    if (static_cast<double>(seen) >= target)
-      return static_cast<double>(1ull << (b + 1));  // upper bucket boundary
-  }
-  return static_cast<double>(1ull << kBuckets);
 }
 
 double LatencyHistogram::quantile(double q) const {
@@ -43,6 +21,9 @@ double LatencyHistogram::quantile(double q) const {
     const double before = static_cast<double>(seen);
     seen += counts_[b];
     if (static_cast<double>(seen) < target) continue;
+    // PromQL's histogram_quantile() answers a rank in the +Inf bucket with
+    // the highest finite bound; the overflow bucket is our +Inf.
+    if (b + 1 == kBuckets) break;
     // The q-quantile lands in bucket b = [2^b, 2^(b+1)); place it by the
     // fraction of the bucket's mass below the target, observations assumed
     // uniform within the bucket. Bucket 0 spans [0, 2) so its lower edge is
@@ -54,7 +35,7 @@ double LatencyHistogram::quantile(double q) const {
     if (frac > 1.0) frac = 1.0;
     return lower + frac * (upper - lower);
   }
-  return static_cast<double>(1ull << kBuckets);
+  return bucket_upper_us(kBuckets - 2);
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
@@ -119,7 +100,7 @@ void StatsLedger::record_cancelled() {
 
 SlotStats StatsLedger::snapshot(std::size_t queue_depth,
                                 std::size_t peak_queue_depth,
-                                const runtime::PoolStats* pool) const {
+                                const runtime::PoolStats& pool) const {
   MutexLock lk(mu_);
   SlotStats s;
   s.submitted = submitted_;
@@ -137,26 +118,18 @@ SlotStats StatsLedger::snapshot(std::size_t queue_depth,
     s.mean_batch_occupancy =
         static_cast<double>(batch_sequences_) / static_cast<double>(batches_);
   }
-  s.p50_latency_us = latency_.quantile_us(0.50);
-  s.p95_latency_us = latency_.quantile_us(0.95);
   s.queue_depth = queue_depth;
   s.peak_queue_depth = peak_queue_depth;
-  s.stage_queue_wait = make_stage_snapshot(queue_wait_);
-  s.stage_batch_wait = make_stage_snapshot(batch_wait_);
-  s.stage_exec = make_stage_snapshot(exec_);
-  s.stage_resolve = make_stage_snapshot(resolve_);
   s.hist_queue_wait = queue_wait_;
   s.hist_batch_wait = batch_wait_;
   s.hist_exec = exec_;
   s.hist_resolve = resolve_;
   s.hist_total = latency_;
-  if (pool != nullptr) {
-    s.pool_alloc_count = pool->alloc_count;
-    s.pool_reuse_count = pool->reuse_count;
-    s.pool_outstanding = pool->outstanding;
-    s.pool_bytes_live = pool->bytes_live;
-    s.pool_bytes_peak = pool->bytes_peak;
-  }
+  s.pool_alloc_count = pool.alloc_count;
+  s.pool_reuse_count = pool.reuse_count;
+  s.pool_outstanding = pool.outstanding;
+  s.pool_bytes_live = pool.bytes_live;
+  s.pool_bytes_peak = pool.bytes_peak;
   return s;
 }
 

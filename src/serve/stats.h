@@ -1,5 +1,5 @@
-// Serving statistics, extracted from the Server so every ModelSlot of the
-// multi-model Engine owns one ledger and EngineStats can aggregate them.
+// Serving statistics: every ModelSlot of the multi-model Engine owns one
+// ledger, and EngineStats aggregates them.
 //
 // StatsLedger is the single mutex-guarded accounting object of the serving
 // subsystem: the submit path records admission decisions, the batcher's
@@ -34,15 +34,9 @@ namespace nnlut::serve {
 /// last bucket everything above its lower edge). Allocation-free and O(1)
 /// to record. Not thread-safe on its own; StatsLedger guards it.
 ///
-/// Two quantile readings:
-///   - quantile_us(q): the UPPER BOUNDARY of the bucket containing the
-///     q-quantile — a conservative bound ("p95 < 1024 µs"), never an
-///     estimate below the true value. SlotStats::p50/p95_latency_us keep
-///     this historical semantics.
-///   - quantile(q): within-bucket LINEAR INTERPOLATION — assumes
-///     observations spread uniformly inside the bucket and returns a point
-///     estimate. The per-stage snapshots (queue-wait / batch-wait / exec /
-///     resolve) use this.
+/// quantile(q) is the one quantile reading: within-bucket LINEAR
+/// INTERPOLATION, the estimate PromQL's histogram_quantile() computes from
+/// the scraped buckets (including its rule for the overflow bucket).
 class LatencyHistogram {
  public:
   static constexpr std::size_t kBuckets = 32;
@@ -51,11 +45,10 @@ class LatencyHistogram {
   std::uint64_t count() const { return total_; }
   /// Sum of recorded latencies (µs) — the Prometheus histogram `_sum`.
   std::uint64_t sum_us() const { return sum_us_; }
-  /// Upper boundary (µs) of the bucket holding quantile q in [0, 1]; 0 when
-  /// empty. See the class comment for the boundary-vs-interpolated split.
-  double quantile_us(double q) const;
-  /// Point estimate (µs) at quantile q via within-bucket linear
-  /// interpolation; 0 when empty.
+  /// Point estimate (µs) at quantile q in [0, 1] via within-bucket linear
+  /// interpolation, observations assumed uniform inside a bucket; 0 when
+  /// empty. A rank in the overflow bucket reads as its lower edge, 2^31,
+  /// the highest finite bound (histogram_quantile() returns that for +Inf).
   double quantile(double q) const;
 
   /// Raw bucket count (i in [0, kBuckets)).
@@ -66,7 +59,7 @@ class LatencyHistogram {
   }
 
   /// Add another histogram's observations into this one (bucket-wise).
-  /// EngineStats uses this to aggregate per-slot stage histograms.
+  /// EngineStats uses this to aggregate per-slot histograms.
   void merge(const LatencyHistogram& other);
 
  private:
@@ -90,21 +83,9 @@ struct StageLatency {
   std::chrono::microseconds total{0};
 };
 
-/// Summary of one stage histogram: count, interpolated p50/p95 and mean.
-/// Unlike SlotStats::p50/p95_latency_us (bucket upper boundaries), these
-/// quantiles use LatencyHistogram::quantile() interpolation.
-struct StageSnapshot {
-  std::uint64_t count = 0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double mean_us = 0.0;
-};
-
-/// Build a StageSnapshot (interpolated quantiles + mean) from a histogram.
-StageSnapshot make_stage_snapshot(const LatencyHistogram& h);
-
-/// Snapshot of one model slot's serving counters since construction. The
-/// single-model Server exposes this as ServerStats.
+/// Snapshot of one model slot's serving counters since construction.
+/// Latency is carried only as raw histograms; readers derive quantiles and
+/// means at read time (hist_total.quantile(0.95), sum_us() / count()).
 struct SlotStats {
   std::uint64_t submitted = 0;  // accepted into the queue
   std::uint64_t rejected = 0;   // all refusals: validation+overload+shutdown
@@ -117,37 +98,22 @@ struct SlotStats {
   std::uint64_t batches = 0;    // model invocations
   double mean_batch_requests = 0.0;   // requests per model invocation
   double mean_batch_occupancy = 0.0;  // sequences per model invocation
-  // End-to-end submit->resolve quantiles. These are log2-bucket UPPER
-  // BOUNDARIES (LatencyHistogram::quantile_us), i.e. conservative bounds
-  // like "p95 < 1024 µs" — not interpolated point estimates. The stage
-  // snapshots below carry interpolated quantiles.
-  double p50_latency_us = 0.0;
-  double p95_latency_us = 0.0;
   std::size_t queue_depth = 0;  // requests queued at snapshot time
   std::size_t peak_queue_depth = 0;
 
-  // Per-stage latency decomposition (see StageLatency for stage meanings),
-  // with interpolated quantiles.
-  StageSnapshot stage_queue_wait;
-  StageSnapshot stage_batch_wait;
-  StageSnapshot stage_exec;
-  StageSnapshot stage_resolve;
-
-  // Raw histogram copies for exposition (MetricsRegistry histogram
-  // callbacks); hist_total is the end-to-end latency histogram behind
-  // p50/p95_latency_us.
+  // Per-stage latency histograms (see StageLatency for stage meanings);
+  // hist_total is the end-to-end submit->resolve histogram.
   LatencyHistogram hist_queue_wait;
   LatencyHistogram hist_batch_wait;
   LatencyHistogram hist_exec;
   LatencyHistogram hist_resolve;
   LatencyHistogram hist_total;
 
-  // Buffer-pool counters of the slot's memory path (all zero when the slot
-  // runs pools-off). pool_alloc_count is the heap-miss count: acquisitions
-  // the pool had to serve with a fresh allocation. A warmed slot serves
-  // every acquisition from its free lists, so over a steady-state window
-  // the DELTA of pool_alloc_count is zero — the property the memory bench
-  // and CI assert.
+  // Buffer-pool counters of the slot's memory path. pool_alloc_count is the
+  // heap-miss count: acquisitions the pool had to serve with a fresh
+  // allocation. A warmed slot serves every acquisition from its free lists,
+  // so over a steady-state window the DELTA of pool_alloc_count is zero —
+  // the property the memory bench and CI assert.
   std::uint64_t pool_alloc_count = 0;  // pool acquisitions that hit the heap
   std::uint64_t pool_reuse_count = 0;  // acquisitions served from free lists
   std::uint64_t pool_outstanding = 0;  // slabs currently out of the pool
@@ -184,11 +150,10 @@ class StatsLedger {
   void record_cancelled();
 
   /// Consistent snapshot; queue depths are passed in by the owner (the
-  /// queue keeps its own high-water mark), as are the buffer-pool counters
-  /// (`pool` may be null — pools-off slots report zeros).
+  /// queue keeps its own high-water mark), as are the buffer-pool counters.
   SlotStats snapshot(std::size_t queue_depth = 0,
                      std::size_t peak_queue_depth = 0,
-                     const runtime::PoolStats* pool = nullptr) const;
+                     const runtime::PoolStats& pool = {}) const;
 
  private:
   mutable Mutex mu_;
@@ -210,7 +175,8 @@ class StatsLedger {
 };
 
 /// Engine-wide view: per-model slot snapshots plus an aggregate in which
-/// counters sum and latency quantiles are the worst (max) across slots.
+/// counters sum and histograms merge bucket-wise, so the aggregate's
+/// quantiles are those of the merged traffic.
 struct EngineStats {
   std::map<std::string, SlotStats> models;
   SlotStats total;

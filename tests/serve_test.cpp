@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -17,7 +18,7 @@
 
 #include "serve/batcher.h"
 #include "serve/request_queue.h"
-#include "serve/server.h"
+#include "serve/stats.h"
 
 namespace nnlut::serve {
 namespace {
@@ -591,25 +592,45 @@ TEST(Batcher, CancelledRequestSkippedByScheduler) {
 
 // ------------------------------------------------------------ histogram ---
 
-// Pins BOTH quantile semantics on the same data. quantile_us returns the
-// log2-bucket UPPER BOUNDARY holding the quantile (a conservative bound —
-// the documented meaning of SlotStats::p50/p95_latency_us); quantile()
-// linearly interpolates within the bucket.
+// quantile() linearly interpolates within the log2 bucket holding the rank,
+// the way PromQL's histogram_quantile() reads the scraped buckets.
 TEST(LatencyHistogram, QuantilesFromBuckets) {
   LatencyHistogram h;
+  EXPECT_EQ(h.quantile(0.50), 0.0);  // empty
   for (int i = 0; i < 90; ++i) h.record(3us);    // bucket [2,4)
   for (int i = 0; i < 10; ++i) h.record(1000us);  // bucket [512,1024)
   EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.quantile_us(0.50), 4.0);
-  EXPECT_EQ(h.quantile_us(0.95), 1024.0);
 
-  // Interpolated: the 50th of 90 observations in [2,4) sits 50/90 of the
-  // way through the bucket; the 95th lands halfway through [512,1024).
+  // The 50th of 90 observations in [2,4) sits 50/90 of the way through the
+  // bucket; the 95th lands halfway through [512,1024).
   EXPECT_NEAR(h.quantile(0.50), 2.0 + 2.0 * (50.0 / 90.0), 1e-9);
   EXPECT_NEAR(h.quantile(0.95), 512.0 + 0.5 * 512.0, 1e-9);
-  // The boundary reading never under-reports the interpolated one.
-  EXPECT_GE(h.quantile_us(0.50), h.quantile(0.50));
-  EXPECT_GE(h.quantile_us(0.95), h.quantile(0.95));
+  // A rank that exhausts a bucket reads exactly its upper edge, and no
+  // quantile leaves the bucket that holds its rank.
+  EXPECT_EQ(h.quantile(0.90), 4.0);
+  EXPECT_EQ(h.quantile(1.00), 1024.0);
+  EXPECT_LE(h.quantile(0.50), LatencyHistogram::bucket_upper_us(1));
+  EXPECT_GE(h.quantile(0.95), LatencyHistogram::bucket_upper_us(8));
+}
+
+// The last bucket is the scrape's +Inf bucket. histogram_quantile() answers
+// a rank there with the highest finite bound (2^31 µs) rather than
+// extrapolating past it; quantile() must agree.
+TEST(LatencyHistogram, OverflowBucketReadsHighestFiniteBound) {
+  const double highest_finite =
+      LatencyHistogram::bucket_upper_us(LatencyHistogram::kBuckets - 2);
+  EXPECT_EQ(highest_finite, 2147483648.0);  // 2^31
+
+  LatencyHistogram h;
+  h.record(std::chrono::microseconds(std::int64_t{1} << 32));
+  EXPECT_EQ(h.bucket_count(LatencyHistogram::kBuckets - 1), 1u);
+  EXPECT_EQ(h.quantile(0.50), highest_finite);
+  EXPECT_EQ(h.quantile(1.00), highest_finite);
+
+  // Ranks below the overflow bucket still interpolate.
+  h.record(3us);
+  EXPECT_NEAR(h.quantile(0.25), 2.0 + 2.0 * 0.5, 1e-9);
+  EXPECT_EQ(h.quantile(0.95), highest_finite);
 }
 
 TEST(LatencyHistogram, SumMergeAndBuckets) {
@@ -629,8 +650,8 @@ TEST(LatencyHistogram, SumMergeAndBuckets) {
 }
 
 // The ledger decomposes each request's latency into pipeline stages; the
-// snapshot exposes per-stage interpolated quantiles plus the raw histogram
-// copies the metrics registry scrapes.
+// snapshot carries the raw per-stage histogram copies the metrics registry
+// scrapes, and readers derive quantiles and means from them.
 TEST(StatsLedger, StageDecomposition) {
   StatsLedger ledger;
   StageLatency st;
@@ -642,16 +663,18 @@ TEST(StatsLedger, StageDecomposition) {
   for (int i = 0; i < 4; ++i) ledger.record_done(st, /*ok=*/true);
   const SlotStats s = ledger.snapshot();
   EXPECT_EQ(s.completed, 4u);
-  EXPECT_EQ(s.stage_queue_wait.count, 4u);
-  EXPECT_EQ(s.stage_exec.count, 4u);
-  EXPECT_EQ(s.stage_exec.mean_us, 100.0);
+  EXPECT_EQ(s.hist_queue_wait.count(), 4u);
+  EXPECT_EQ(s.hist_exec.count(), 4u);
+  EXPECT_EQ(s.hist_exec.sum_us() / s.hist_exec.count(), 100u);
   EXPECT_EQ(s.hist_total.count(), 4u);
   EXPECT_EQ(s.hist_total.sum_us(), 4u * 118u);
   EXPECT_EQ(s.hist_queue_wait.bucket_count(1), 4u);   // 3us -> [2,4)
   EXPECT_EQ(s.hist_exec.bucket_count(6), 4u);         // 100us -> [64,128)
-  // Interpolated stage quantiles stay inside their bucket.
-  EXPECT_GE(s.stage_exec.p50_us, 64.0);
-  EXPECT_LE(s.stage_exec.p50_us, 128.0);
+  // Stage quantiles stay inside their bucket.
+  EXPECT_GE(s.hist_exec.quantile(0.50), 64.0);
+  EXPECT_LE(s.hist_exec.quantile(0.50), 128.0);
+  EXPECT_GE(s.hist_queue_wait.quantile(0.95), 2.0);
+  EXPECT_LE(s.hist_queue_wait.quantile(0.95), 4.0);
 }
 
 }  // namespace

@@ -1,16 +1,16 @@
-// Serving determinism: logits returned through the Server or the
-// multi-model Engine — with dynamic same-seq batching, one scheduler
-// thread per model slot, and concurrent submission from >= 4 client
-// threads — must be BIT-identical to direct InferenceModel::logits calls,
-// for every backend (exact, LUT fp32/fp16/int32, I-BERT) and any number of
-// concurrently served models. This is the end-to-end consequence of
-// (a) row-independent kernels, (b) deterministic static partitioning in
-// the thread pool with FIFO-fair orchestrator admission, and (c) each
-// slot's batcher merging only identical-seq requests of its own model.
+// Serving determinism: logits returned through the multi-model Engine —
+// with dynamic same-seq batching, one scheduler thread per model slot, and
+// concurrent submission from >= 4 client threads — must be BIT-identical
+// to direct InferenceModel::logits calls, for every backend (exact, LUT
+// fp32/fp16/int32, I-BERT) and any number of concurrently served models.
+// This is the end-to-end consequence of (a) row-independent kernels,
+// (b) deterministic static partitioning in the thread pool with FIFO-fair
+// orchestrator admission, and (c) each slot's batcher merging only
+// identical-seq requests of its own model.
 // Also covers admission control under forced overload (every request
 // resolves as completed or ServerOverloaded; ledger reconciles exactly
 // after drain), per-request validation-error surfacing through a live
-// server, and serving stats sanity.
+// engine, and serving stats sanity.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +26,6 @@
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
-#include "serve/server.h"
 #include "transformer/infer.h"
 
 namespace nnlut::serve {
@@ -68,9 +67,10 @@ BatchInput random_request(const ModelConfig& cfg, std::size_t batch,
 
 /// Submit `requests` from `clients` threads (round-robin), await all
 /// results, and compare bitwise against direct single-orchestrator logits.
-/// Runs the served side twice — buffer pools on and off — so the memory
-/// path's bit-identity contract (pools move bytes, never values) is checked
-/// for every backend this helper covers.
+/// The served side runs through the slot's buffer pool and workspace while
+/// the direct side allocates per call, so the memory path's bit-identity
+/// contract (pools move bytes, never values) is checked for every backend
+/// this helper covers.
 void expect_served_bits_match_direct(const TaskModel& model,
                                      NonlinearitySet& nl,
                                      const std::vector<BatchInput>& requests,
@@ -83,56 +83,42 @@ void expect_served_bits_match_direct(const TaskModel& model,
     for (const BatchInput& in : requests) direct.push_back(infer.logits(in));
   }
 
-  for (const bool use_pool : {true, false}) {
-    // Served: concurrent clients against a batching server.
-    std::vector<Tensor> served(requests.size());
-    {
-      ServeConfig cfg;
-      cfg.max_batch = 4;
-      cfg.max_wait = 3ms;
-      cfg.threads = 2;
-      cfg.use_pool = use_pool;
-      Server server(model, nl, cfg);
-      std::vector<std::thread> threads;
-      for (std::size_t c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-          for (std::size_t i = c; i < requests.size(); i += clients) {
-            PendingResult r = server.submit(requests[i]);
-            served[i] = r.get();  // disjoint slot per request: no locking
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-
-      const ServerStats stats = server.stats();
-      EXPECT_EQ(stats.submitted, requests.size());
-      EXPECT_EQ(stats.completed, requests.size());
-      EXPECT_EQ(stats.rejected, 0u);
-      EXPECT_EQ(stats.failed, 0u);
-      EXPECT_GE(stats.batches, 1u);
-      if (use_pool) {
-        // The forward passes ran in the slot's workspace: the pool must
-        // have seen traffic, and nothing beyond what PooledBuffers hold
-        // may be counted outstanding.
-        EXPECT_GT(stats.pool_alloc_count, 0u);
-        EXPECT_GE(stats.pool_bytes_peak, stats.pool_bytes_live);
-      } else {
-        EXPECT_EQ(stats.pool_alloc_count, 0u);
-        EXPECT_EQ(stats.pool_reuse_count, 0u);
-        EXPECT_EQ(stats.pool_bytes_peak, 0u);
-      }
+  // Served: concurrent clients against a batching slot.
+  std::vector<Tensor> served(requests.size());
+  {
+    Engine engine(EngineConfig{/*threads=*/2});
+    engine.register_model("m", model, nl, {.max_batch = 4, .max_wait = 3ms});
+    std::vector<std::thread> threads;
+    for (std::size_t c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        for (std::size_t i = c; i < requests.size(); i += clients) {
+          PendingResult r = engine.submit("m", requests[i]);
+          served[i] = r.get();  // disjoint slot per request: no locking
+        }
+      });
     }
-    runtime::set_runtime_config({});
+    for (auto& t : threads) t.join();
 
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_EQ(served[i].size(), direct[i].size())
-          << "request " << i << " use_pool " << use_pool;
-      ASSERT_EQ(served[i].shape(), direct[i].shape())
-          << "request " << i << " use_pool " << use_pool;
-      for (std::size_t j = 0; j < served[i].size(); ++j)
-        ASSERT_EQ(served[i][j], direct[i][j])
-            << "request " << i << " element " << j << " use_pool " << use_pool;
-    }
+    const SlotStats stats = engine.model_stats("m");
+    EXPECT_EQ(stats.submitted, requests.size());
+    EXPECT_EQ(stats.completed, requests.size());
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_GE(stats.batches, 1u);
+    // The forward passes ran in the slot's workspace: the pool must have
+    // seen traffic, and nothing beyond what PooledBuffers hold may be
+    // counted outstanding.
+    EXPECT_GT(stats.pool_alloc_count, 0u);
+    EXPECT_GE(stats.pool_bytes_peak, stats.pool_bytes_live);
+  }
+  runtime::set_runtime_config({});
+
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(served[i].size(), direct[i].size()) << "request " << i;
+    ASSERT_EQ(served[i].shape(), direct[i].shape()) << "request " << i;
+    for (std::size_t j = 0; j < served[i].size(); ++j)
+      ASSERT_EQ(served[i][j], direct[i][j])
+          << "request " << i << " element " << j;
   }
 }
 
@@ -299,6 +285,45 @@ TEST(EngineRegistry, UnknownAndDuplicateModels) {
   runtime::set_runtime_config({});
 }
 
+TEST(EngineStats, TotalLatencyIsTheMergedHistogram) {
+  // Two slots with known, different latencies: "slow" never fills a batch,
+  // so each request waits out its 50 ms max_wait; "fast" runs every request
+  // alone at once. The aggregate must be the bucket-wise merge of the two
+  // histograms, and its quantiles those of the merged traffic — here the
+  // median sits among the eight fast requests, below the slow slot's.
+  Rng rng(56);
+  TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
+  ExactNonlinearities nl(m.config().act);
+  Engine engine(EngineConfig{/*threads=*/1});
+  engine.register_model("slow", m, nl, {.max_batch = 64, .max_wait = 50ms});
+  engine.register_model("fast", m, nl, {.max_batch = 1, .max_wait = 0us});
+  for (int i = 0; i < 2; ++i)
+    (void)engine.submit("slow", random_request(m.config(), 1, 8, rng)).get();
+  for (int i = 0; i < 8; ++i)
+    (void)engine.submit("fast", random_request(m.config(), 1, 8, rng)).get();
+  engine.shutdown();
+
+  const EngineStats stats = engine.stats();
+  const LatencyHistogram& slow = stats.models.at("slow").hist_total;
+  const LatencyHistogram& fast = stats.models.at("fast").hist_total;
+  const LatencyHistogram& total = stats.total.hist_total;
+  ASSERT_EQ(slow.count(), 2u);
+  ASSERT_EQ(fast.count(), 8u);
+  EXPECT_GE(slow.quantile(0.0), 32768.0);  // 50 ms lands in [2^15, 2^16) µs
+  EXPECT_EQ(total.count(), slow.count() + fast.count());
+  EXPECT_EQ(total.sum_us(), slow.sum_us() + fast.sum_us());
+  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b)
+    EXPECT_EQ(total.bucket_count(b), slow.bucket_count(b) + fast.bucket_count(b))
+        << "bucket " << b;
+
+  LatencyHistogram merged = slow;
+  merged.merge(fast);
+  EXPECT_EQ(total.quantile(0.50), merged.quantile(0.50));
+  EXPECT_EQ(total.quantile(0.95), merged.quantile(0.95));
+  EXPECT_LT(total.quantile(0.50), slow.quantile(0.50));
+  runtime::set_runtime_config({});
+}
+
 // ---------------------------------------- admission control / overload ---
 
 /// Drive `total` requests from `threads` clients into a bounded slot and
@@ -387,11 +412,8 @@ TEST(ServingValidation, MalformedRequestRejectsAloneUnderLoad) {
   TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
   ExactNonlinearities nl(m.config().act);
 
-  ServeConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait = 2ms;
-  cfg.threads = 2;
-  Server server(m, nl, cfg);
+  Engine engine(EngineConfig{/*threads=*/2});
+  engine.register_model("m", m, nl, {.max_batch = 4, .max_wait = 2ms});
 
   // Reference for the good requests.
   std::vector<BatchInput> good;
@@ -416,13 +438,13 @@ TEST(ServingValidation, MalformedRequestRejectsAloneUnderLoad) {
     clients.emplace_back([&, c] {
       // Interleave a malformed submission among this client's good ones.
       switch (c) {
-        case 0: bad_results[0] = server.submit(bad_token); break;
-        case 1: bad_results[1] = server.submit(bad_shape); break;
-        case 2: bad_results[2] = server.submit(bad_seq); break;
-        case 3: bad_results[3] = server.submit(empty); break;
+        case 0: bad_results[0] = engine.submit("m", bad_token); break;
+        case 1: bad_results[1] = engine.submit("m", bad_shape); break;
+        case 2: bad_results[2] = engine.submit("m", bad_seq); break;
+        case 3: bad_results[3] = engine.submit("m", empty); break;
       }
       for (std::size_t i = c; i < good.size(); i += 4)
-        served[i] = server.submit(good[i]).get();
+        served[i] = engine.submit("m", good[i]).get();
     });
   }
   for (auto& t : clients) t.join();
@@ -443,15 +465,15 @@ TEST(ServingValidation, MalformedRequestRejectsAloneUnderLoad) {
   EXPECT_THROW(bad_results[2].get(), std::out_of_range);
   EXPECT_THROW(bad_results[3].get(), std::invalid_argument);
 
-  const ServerStats stats = server.stats();
+  const SlotStats stats = engine.model_stats("m");
   EXPECT_EQ(stats.rejected, 4u);
   EXPECT_EQ(stats.completed, good.size());
   EXPECT_EQ(stats.failed, 0u);
   runtime::set_runtime_config({});
 }
 
-TEST(ServingDeterminism, TwoConcurrentServersStayBitIdentical) {
-  // Two Servers share the process-wide runtime pool; the pool admits one
+TEST(ServingDeterminism, TwoConcurrentEnginesStayBitIdentical) {
+  // Two Engines share the process-wide runtime pool; the pool admits one
   // orchestrator at a time and the other inlines, so results from both
   // must still match direct execution bit-for-bit.
   Rng rng(37);
@@ -467,20 +489,19 @@ TEST(ServingDeterminism, TwoConcurrentServersStayBitIdentical) {
     for (const BatchInput& in : requests) direct.push_back(infer.logits(in));
   }
 
-  ServeConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait = 2ms;
-  cfg.threads = 2;
-  Server a(m, nl, cfg);
-  Server b(m, nl, cfg);
+  const SlotConfig scfg{.max_batch = 4, .max_wait = 2ms};
+  Engine a(EngineConfig{/*threads=*/2});
+  Engine b(EngineConfig{/*threads=*/2});
+  a.register_model("m", m, nl, scfg);
+  b.register_model("m", m, nl, scfg);
   std::vector<Tensor> from_a(requests.size()), from_b(requests.size());
   std::thread ta([&] {
     for (std::size_t i = 0; i < requests.size(); ++i)
-      from_a[i] = a.submit(requests[i]).get();
+      from_a[i] = a.submit("m", requests[i]).get();
   });
   std::thread tb([&] {
     for (std::size_t i = 0; i < requests.size(); ++i)
-      from_b[i] = b.submit(requests[i]).get();
+      from_b[i] = b.submit("m", requests[i]).get();
   });
   ta.join();
   tb.join();
@@ -495,7 +516,7 @@ TEST(ServingDeterminism, TwoConcurrentServersStayBitIdentical) {
 
 TEST(ServingDeterminism, WidestSimdTierServedBitsMatchScalarDirect) {
   // ISA-invariance through the whole serving stack: requests served under
-  // the widest SIMD tier this CPU has (pinned via ServeConfig::simd) must
+  // the widest SIMD tier this CPU has (pinned via EngineConfig::simd) must
   // be bit-identical to direct execution with the kernels forced scalar —
   // for the LUT backends whose plans actually dispatch (FP32 and INT32).
   Rng rng(41);
@@ -516,20 +537,16 @@ TEST(ServingDeterminism, WidestSimdTierServedBitsMatchScalarDirect) {
         direct.push_back(infer.logits(in));
     }
 
-    ServeConfig cfg;
-    cfg.max_batch = 4;
-    cfg.max_wait = 2ms;
-    cfg.threads = 2;
-    cfg.simd = simd::detected_simd_tier();
     std::vector<Tensor> served(requests.size());
     {
-      Server server(m, *nl, cfg);
+      Engine engine(EngineConfig{/*threads=*/2, simd::detected_simd_tier()});
+      engine.register_model("m", m, *nl, {.max_batch = 4, .max_wait = 2ms});
       EXPECT_EQ(simd::active_simd_tier(), simd::detected_simd_tier());
       std::vector<std::thread> clients;
       for (std::size_t c = 0; c < 3; ++c) {
         clients.emplace_back([&, c] {
           for (std::size_t i = c; i < requests.size(); i += 3)
-            served[i] = server.submit(requests[i]).get();
+            served[i] = engine.submit("m", requests[i]).get();
         });
       }
       for (auto& t : clients) t.join();
@@ -551,26 +568,25 @@ TEST(ServingStats, CancelledAndRejectedReconcileWithSubmitted) {
   TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
   ExactNonlinearities nl(m.config().act);
 
-  ServeConfig cfg;
-  cfg.max_batch = 64;       // never reached ...
-  cfg.max_wait = 10min;     // ... and never aged out: requests sit queued
-  cfg.threads = 1;
-  Server server(m, nl, cfg);
+  Engine engine(EngineConfig{/*threads=*/1});
+  // Never full and never aged out: requests sit queued until shutdown.
+  engine.register_model("m", m, nl, {.max_batch = 64, .max_wait = 10min});
 
-  PendingResult r1 = server.submit(random_request(m.config(), 1, 8, rng));
-  PendingResult r2 = server.submit(random_request(m.config(), 1, 8, rng));
-  PendingResult r3 = server.submit(random_request(m.config(), 1, 8, rng));
+  PendingResult r1 = engine.submit("m", random_request(m.config(), 1, 8, rng));
+  PendingResult r2 = engine.submit("m", random_request(m.config(), 1, 8, rng));
+  PendingResult r3 = engine.submit("m", random_request(m.config(), 1, 8, rng));
   EXPECT_TRUE(r2.cancel());  // still queued: nothing flushes before shutdown
-  server.shutdown();         // drains r1/r3, skips the cancelled r2
+  engine.shutdown();         // drains r1/r3, skips the cancelled r2
 
   EXPECT_NO_THROW(r1.get());
   EXPECT_NO_THROW(r3.get());
   EXPECT_THROW(r2.get(), RequestCancelled);
 
-  PendingResult late = server.submit(random_request(m.config(), 1, 8, rng));
+  PendingResult late =
+      engine.submit("m", random_request(m.config(), 1, 8, rng));
   EXPECT_THROW(late.get(), RequestCancelled);
 
-  const ServerStats stats = server.stats();
+  const SlotStats stats = engine.model_stats("m");
   EXPECT_EQ(stats.submitted, 3u);
   EXPECT_EQ(stats.completed, 2u);
   EXPECT_EQ(stats.cancelled, 1u);
@@ -586,9 +602,9 @@ TEST(ServingStats, CancelledAndRejectedReconcileWithSubmitted) {
 /// destroyed before the next submit, so the number of slabs simultaneously
 /// outstanding is deterministic and a warmed pool can serve every
 /// acquisition from its free lists.
-void serve_sequentially(Server& server, const std::vector<BatchInput>& requests) {
+void serve_sequentially(Engine& engine, const std::vector<BatchInput>& requests) {
   for (const BatchInput& in : requests) {
-    Tensor logits = server.submit(in).get();
+    Tensor logits = engine.submit("m", in).get();
     ASSERT_GT(logits.size(), 0u);
   }
 }
@@ -602,22 +618,19 @@ TEST(ServingMemoryPath, WarmWindowServesWithoutPoolAllocs) {
   ExactNonlinearities nl(m.config().act);
   const std::vector<BatchInput> requests = request_mix(m.config(), rng);
 
-  ServeConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait = 1ms;
-  cfg.threads = 2;
-  Server server(m, nl, cfg);
+  Engine engine(EngineConfig{/*threads=*/2});
+  engine.register_model("m", m, nl, {.max_batch = 4, .max_wait = 1ms});
 
   // Warm: every size class the mix touches gets allocated and free-listed.
-  serve_sequentially(server, requests);
-  serve_sequentially(server, requests);
-  const ServerStats warm = server.stats();
+  serve_sequentially(engine, requests);
+  serve_sequentially(engine, requests);
+  const SlotStats warm = engine.model_stats("m");
   EXPECT_GT(warm.pool_alloc_count, 0u);
 
   // Measured window: repeats of the same mix must be pure reuse.
-  serve_sequentially(server, requests);
-  serve_sequentially(server, requests);
-  const ServerStats done = server.stats();
+  serve_sequentially(engine, requests);
+  serve_sequentially(engine, requests);
+  const SlotStats done = engine.model_stats("m");
 
   EXPECT_EQ(done.pool_alloc_count, warm.pool_alloc_count)
       << "warmed window performed pool heap allocations";
@@ -636,18 +649,15 @@ TEST(ServingMemoryPath, OutstandingStableAfterDrain) {
   ExactNonlinearities nl(m.config().act);
   const std::vector<BatchInput> requests = request_mix(m.config(), rng);
 
-  ServeConfig cfg;
-  cfg.max_batch = 4;
-  cfg.max_wait = 1ms;
-  cfg.threads = 2;
-  Server server(m, nl, cfg);
+  Engine engine(EngineConfig{/*threads=*/2});
+  engine.register_model("m", m, nl, {.max_batch = 4, .max_wait = 1ms});
 
-  serve_sequentially(server, requests);
-  const ServerStats s1 = server.stats();
-  serve_sequentially(server, requests);
-  const ServerStats s2 = server.stats();
-  serve_sequentially(server, requests);
-  const ServerStats s3 = server.stats();
+  serve_sequentially(engine, requests);
+  const SlotStats s1 = engine.model_stats("m");
+  serve_sequentially(engine, requests);
+  const SlotStats s2 = engine.model_stats("m");
+  serve_sequentially(engine, requests);
+  const SlotStats s3 = engine.model_stats("m");
 
   EXPECT_GT(s1.pool_outstanding, 0u);  // the workspace holds its slots
   EXPECT_EQ(s2.pool_outstanding, s1.pool_outstanding);
@@ -675,19 +685,16 @@ TEST(ServingObservability, TracingOnLogitsBitIdenticalToTracingOff) {
     std::vector<Tensor> out(requests.size());
     std::string scrape;
     {
-      ServeConfig cfg;
-      cfg.max_batch = 4;
-      cfg.max_wait = 3ms;
-      cfg.threads = 2;
-      Server server(m, nl, cfg);
+      Engine engine(EngineConfig{/*threads=*/2});
+      engine.register_model("m", m, nl, {.max_batch = 4, .max_wait = 3ms});
       std::vector<std::thread> threads;
       for (std::size_t c = 0; c < 4; ++c)
         threads.emplace_back([&, c] {
           for (std::size_t i = c; i < requests.size(); i += 4)
-            out[i] = server.submit(requests[i]).get();
+            out[i] = engine.submit("m", requests[i]).get();
         });
       for (auto& t : threads) t.join();
-      scrape = server.scrape();
+      scrape = engine.scrape();
     }
     runtime::set_runtime_config({});
     if (tracing) {
@@ -698,7 +705,7 @@ TEST(ServingObservability, TracingOnLogitsBitIdenticalToTracingOff) {
     // whether or not tracing is armed (independent subsystems).
     EXPECT_NE(scrape.find("nnlut_stage_latency_us_bucket"), std::string::npos);
     EXPECT_NE(scrape.find("stage=\"exec\""), std::string::npos);
-    EXPECT_NE(scrape.find("nnlut_requests_total{model=\"default\","
+    EXPECT_NE(scrape.find("nnlut_requests_total{model=\"m\","
                           "outcome=\"completed\"} " +
                           std::to_string(requests.size())),
               std::string::npos);
@@ -721,11 +728,14 @@ TEST(ServingShutdown, SubmitAfterShutdownRejects) {
   Rng rng(36);
   TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
   ExactNonlinearities nl(m.config().act);
-  Server server(m, nl, {/*max_batch=*/4, /*max_wait=*/1ms, /*threads=*/1});
-  PendingResult before = server.submit(random_request(m.config(), 1, 8, rng));
-  server.shutdown();
+  Engine engine(EngineConfig{/*threads=*/1});
+  engine.register_model("m", m, nl, {.max_batch = 4, .max_wait = 1ms});
+  PendingResult before =
+      engine.submit("m", random_request(m.config(), 1, 8, rng));
+  engine.shutdown();
   EXPECT_NO_THROW(before.get());  // drained before stop
-  PendingResult after = server.submit(random_request(m.config(), 1, 8, rng));
+  PendingResult after =
+      engine.submit("m", random_request(m.config(), 1, 8, rng));
   EXPECT_THROW(after.get(), RequestCancelled);
   runtime::set_runtime_config({});
 }

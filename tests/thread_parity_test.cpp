@@ -275,7 +275,7 @@ TEST(ParallelFor, OrchestratorExceptionReleasesTheWorkers) {
 
 TEST(ParallelFor, ReconfigureWhileKernelsInFlightIsSafe) {
   // Regression for the serving subsystem: a configurer thread resizing the
-  // pool (Server construction plugs ServeConfig::threads into RuntimeConfig)
+  // pool (Engine construction plugs EngineConfig::threads into RuntimeConfig)
   // while another thread has kernels in flight. Before acquire_pool()
   // returned a shared handle, set_runtime_config destroyed the pool out from
   // under the running parallel_for. TSan in CI guards the handoff.
