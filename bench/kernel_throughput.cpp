@@ -6,7 +6,9 @@
 // sweep (BM_LutTierPlan/<tier>/<precision>/<entries>) registered for every
 // tier this CPU supports — the dispatch tier is pinned for the benchmark's
 // duration and recorded in the JSON (per-run label + "simd_*" context
-// keys), so artifacts from different machines are self-describing.
+// keys), so artifacts from different machines are self-describing. The
+// same per-tier sweep covers the tiled GEMM (BM_GemmTier/<tier>) on the
+// encoder's matmul shapes, with a GFLOP/s counter.
 //
 // Unless --benchmark_out is given, results are also written as
 // machine-readable JSON to BENCH_kernel_throughput.json.
@@ -26,6 +28,8 @@
 #include "core/transform.h"
 #include "ibert/ibert_kernels.h"
 #include "numerics/rng.h"
+#include "runtime/thread_pool.h"
+#include "tensor/ops.h"
 
 namespace {
 
@@ -317,10 +321,84 @@ void BM_LutTierPlanInt32(benchmark::State& state, SimdTier tier) {
   simd::set_simd_tier(std::nullopt);
 }
 
-/// Register the tier sweep for every tier this CPU can actually run.
+// --------------------------------------------------------------------------
+// Per-SIMD-tier GEMM throughput on the encoder's matmul shapes at 512 token
+// rows (m x k x n): attention projections 512x256x256, FFN-in
+// 512x256x1024, FFN-out 512x1024x256. One pool lane, so this is the tiled
+// kernel alone. BM_GemmIkjLoop is the untiled i-k-j loop matmul ran before
+// the tiled kernel (baseline flags, like the scalar tier), the yardstick
+// for the forced scalar tier. tests/tensor_test.cpp proves every tier
+// produces the loop's bits.
+// --------------------------------------------------------------------------
+
+struct GemmOperands {
+  Tensor a, b, c;
+  explicit GemmOperands(const benchmark::State& state)
+      : a({static_cast<std::size_t>(state.range(0)),
+           static_cast<std::size_t>(state.range(1))}),
+        b({static_cast<std::size_t>(state.range(1)),
+           static_cast<std::size_t>(state.range(2))}),
+        c({static_cast<std::size_t>(state.range(0)),
+           static_cast<std::size_t>(state.range(2))}) {
+    Rng rng(9);
+    for (float& v : a.flat()) v = rng.uniform(-1.0f, 1.0f);
+    for (float& v : b.flat()) v = rng.uniform(-1.0f, 1.0f);
+  }
+};
+
+void set_gflops(benchmark::State& state) {
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2e-9 * static_cast<double>(state.range(0) * state.range(1) *
+                                 state.range(2)),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_GemmTier(benchmark::State& state, SimdTier tier) {
+  runtime::set_runtime_config({1, tier});  // one lane, pinned tier
+  GemmOperands op(state);
+  for (auto _ : state) {
+    matmul(op.a, op.b, op.c);
+    benchmark::DoNotOptimize(op.c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gflops(state);
+  state.SetLabel(simd::simd_tier_name(tier));
+  runtime::set_runtime_config({});
+}
+
+void BM_GemmIkjLoop(benchmark::State& state) {
+  GemmOperands op(state);
+  const std::size_t m = op.a.dim(0), k = op.a.dim(1), n = op.b.dim(1);
+  for (auto _ : state) {
+    op.c.zero();
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t p = 0; p < k; ++p) {
+        const float av = op.a.data()[i * k + p];
+        const float* brow = op.b.data() + p * n;
+        float* crow = op.c.data() + i * n;
+        for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
+    benchmark::DoNotOptimize(op.c.data());
+    benchmark::ClobberMemory();
+  }
+  set_gflops(state);
+}
+BENCHMARK(BM_GemmIkjLoop)
+    ->Args({512, 256, 256})
+    ->Args({512, 256, 1024})
+    ->Args({512, 1024, 256})
+    ->ArgNames({"m", "k", "n"});
+
+/// Register the tier sweeps for every tier this CPU can actually run.
 void register_tier_benchmarks() {
   for (SimdTier tier : simd::available_simd_tiers()) {
     const std::string name(simd::simd_tier_name(tier));
+    benchmark::RegisterBenchmark(("BM_GemmTier/" + name).c_str(), BM_GemmTier,
+                                 tier)
+        ->Args({512, 256, 256})
+        ->Args({512, 256, 1024})
+        ->Args({512, 1024, 256})
+        ->ArgNames({"m", "k", "n"});
     benchmark::RegisterBenchmark(("BM_LutTierPlan/" + name + "/fp32").c_str(),
                                  BM_LutTierPlanFp32, tier)
         ->Arg(8)

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "approx/linear_lut.h"
+#include "core/lut_kernel_simd.h"
 #include "numerics/math.h"
 #include "numerics/rng.h"
 #include "runtime/thread_pool.h"
@@ -122,6 +123,11 @@ int main(int argc, char** argv) {
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
+  // The matmuls and LUT kernels dispatch per ISA tier, so the artifact
+  // records which tier this machine ran next to google-benchmark's num_cpus.
+  benchmark::AddCustomContext(
+      "simd_detected",
+      nnlut::simd::simd_tier_name(nnlut::simd::detected_simd_tier()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

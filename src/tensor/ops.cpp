@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "runtime/thread_pool.h"
+#include "tensor/gemm.h"
 
 namespace nnlut {
 
@@ -21,24 +22,15 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   check_2d(c);
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   assert(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n);
-  c.zero();
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  // i-k-j order: streams B rows, vectorizes the inner j loop. Output rows
-  // are independent, so row blocks shard across the runtime pool with the
-  // per-row accumulation order unchanged (bit-identical for any pool size).
+  // Output rows are independent, so row blocks shard across the runtime
+  // pool; gemm keeps each element's k order, so results are bit-identical
+  // for any pool size.
   runtime::parallel_for(
       0, m, runtime::grain_for(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          for (std::size_t kk = 0; kk < k; ++kk) {
-            const float av = pa[i * k + kk];
-            if (av == 0.0f) continue;
-            const float* brow = pb + kk * n;
-            float* crow = pc + i * n;
-            for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-          }
-        }
+        gemm(i1 - i0, n, k, pa + i0 * k, k, pb, n, pc + i0 * n, n);
       });
 }
 
@@ -84,7 +76,6 @@ void matmul_at_accumulate(const Tensor& a, const Tensor& b, Tensor& c) {
     const float* brow = pb + kk * n;
     for (std::size_t i = 0; i < m; ++i) {
       const float av = arow[i];
-      if (av == 0.0f) continue;
       float* crow = pc + i * n;
       for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }

@@ -1,8 +1,10 @@
 // Dense math on Tensors: matmul variants (the hot path of transformer
 // training and inference), bias/elementwise helpers and row-wise reductions.
 // matmul and matmul_bt shard output-row blocks across the runtime thread
-// pool (runtime/thread_pool.h); per-row accumulation order is unchanged, so
-// results are bit-identical for any pool size.
+// pool (runtime/thread_pool.h); per-element accumulation order is fixed, so
+// results are bit-identical for any pool size. matmul runs the tiled,
+// ISA-dispatched gemm (tensor/gemm.h). No kernel skips zero operands:
+// 0 * NaN and 0 * inf reach the output as NaN.
 #pragma once
 
 #include <functional>

@@ -9,6 +9,7 @@
 
 #include "ibert/quantization.h"
 #include "runtime/thread_pool.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace nnlut::transformer {
@@ -29,10 +30,19 @@ void project(Tensor& t, MatmulMode mode) {
   }
 }
 
-Tensor prepared_weight(const Tensor& w, MatmulMode mode) {
-  Tensor copy = w;
-  project(copy, mode);
-  return copy;
+/// Throws std::invalid_argument naming the tensor if `t` holds a NaN or
+/// +-inf. The matmul kernels propagate non-finite weights into every logit
+/// they touch, so the model rejects them once, up front. `layer` is the
+/// encoder layer index, or -1 for the head.
+void require_finite(const Tensor& t, int layer, const char* name,
+                    const char* what) {
+  for (std::size_t i = 0; i < t.size(); ++i)
+    if (!std::isfinite(t[i]))
+      throw std::invalid_argument(
+          "InferenceModel: " +
+          (layer < 0 ? std::string() : "layer " + std::to_string(layer) + " ") +
+          name + " " + what + " has a non-finite value at index " +
+          std::to_string(i));
 }
 
 }  // namespace
@@ -56,20 +66,31 @@ void InferenceModel::PreparedLinear::apply_into(const Tensor& x,
 InferenceModel::InferenceModel(const TaskModel& model, NonlinearitySet& nl,
                                MatmulMode mode)
     : model_(&model), nl_(&nl), mode_(mode) {
+  // Weights are checked before projection and after it: int8 scaling can
+  // hide an inf (the scale becomes inf, every value 0), and fp16 rounds
+  // weights past 65504 to inf.
+  const auto prepared = [](const nn::Linear& lin, MatmulMode m, int layer,
+                           const char* name) {
+    require_finite(lin.w.value, layer, name, "weight");
+    require_finite(lin.b.value, layer, name, "bias");
+    Tensor w = lin.w.value;
+    project(w, m);
+    require_finite(w, layer, name, "weight after projection");
+    return PreparedLinear{std::move(w), lin.b.value};
+  };
   layers_.reserve(model.encoder.layers.size());
   for (const EncoderLayer& l : model.encoder.layers) {
-    LayerWeights lw;
-    lw.wq = {prepared_weight(l.attn.wq.w.value, mode), l.attn.wq.b.value};
-    lw.wk = {prepared_weight(l.attn.wk.w.value, mode), l.attn.wk.b.value};
-    lw.wv = {prepared_weight(l.attn.wv.w.value, mode), l.attn.wv.b.value};
-    lw.wo = {prepared_weight(l.attn.wo.w.value, mode), l.attn.wo.b.value};
-    lw.ff1 = {prepared_weight(l.ff1.w.value, mode), l.ff1.b.value};
-    lw.ff2 = {prepared_weight(l.ff2.w.value, mode), l.ff2.b.value};
-    layers_.push_back(std::move(lw));
+    const int at = static_cast<int>(layers_.size());
+    layers_.push_back({prepared(l.attn.wq, mode, at, "attn.wq"),
+                       prepared(l.attn.wk, mode, at, "attn.wk"),
+                       prepared(l.attn.wv, mode, at, "attn.wv"),
+                       prepared(l.attn.wo, mode, at, "attn.wo"),
+                       prepared(l.ff1, mode, at, "ff1"),
+                       prepared(l.ff2, mode, at, "ff2")});
   }
   // The classification head stays FP32 (it is a tiny readout; the paper's
   // experiments quantize the transformer body).
-  head_ = {model.head_lin.w.value, model.head_lin.b.value};
+  head_ = prepared(model.head_lin, MatmulMode::kFp32, -1, "head");
 }
 
 int InferenceModel::embedding_norm_site() const {
@@ -170,7 +191,8 @@ const Tensor& InferenceModel::encode_into(const BatchInput& in,
   const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
 
   // One [batch*heads*seq, seq] score slot reused by every layer.
-  const std::size_t score_rows = in.batch * heads * in.seq;
+  const std::size_t batch_heads = in.batch * heads;
+  const std::size_t score_rows = batch_heads * in.seq;
   ws.prepare(ws.scores, {score_rows, in.seq});
 
   for (std::size_t li = 0; li < enc.layers.size(); ++li) {
@@ -189,48 +211,45 @@ const Tensor& InferenceModel::encode_into(const BatchInput& in,
     project(k, mode_);
     project(v, mode_);
 
-    // Score every (batch, head, query) row first, then run softmax over ALL
-    // attention rows of the layer in one backend call. Score rows are
-    // independent: shard the flattened (batch, head, query) index space.
+    // Attention as per-(batch, head) GEMM calls:
+    //   scores_bh  = Q_bh (seq x hd, lda hidden) * K^T_bh (hd x seq)
+    //   context_bh = P_bh (seq x seq) * V_bh (seq x hd, ldb hidden)
+    // K^T_bh is packed row-major first. The packed [batch*heads*hd, seq]
+    // block has exactly the context slot's size and is dead before the
+    // context GEMM overwrites that slot, so it borrows the slot instead of
+    // adding workspace memory. Softmax runs over ALL score rows of the layer
+    // in one backend call in between. Every (batch, head) pair writes
+    // disjoint outputs, so both passes shard over the flattened pair index.
     Tensor& scores = ws.scores;
+    Tensor& context = ws.prepare(ws.context, {rows, hidden});
     runtime::parallel_for(
-        0, score_rows, runtime::grain_for(in.seq * hd),
-        [&](std::size_t f0, std::size_t f1) {
-          for (std::size_t f = f0; f < f1; ++f) {
-            const std::size_t b = f / (heads * in.seq);
-            const std::size_t h = (f / in.seq) % heads;
-            const std::size_t i = f % in.seq;
-            const float* qi = q.data() + (b * in.seq + i) * hidden + h * hd;
-            auto prow = scores.row(f);
-            for (std::size_t j = 0; j < in.seq; ++j) {
-              const float* kj = k.data() + (b * in.seq + j) * hidden + h * hd;
-              float acc = 0.0f;
-              for (std::size_t d = 0; d < hd; ++d) acc += qi[d] * kj[d];
-              prow[j] = acc * scale;
-            }
+        0, batch_heads, runtime::grain_for(in.seq * in.seq * hd),
+        [&](std::size_t p0, std::size_t p1) {
+          for (std::size_t bh = p0; bh < p1; ++bh) {
+            const std::size_t b = bh / heads, h = bh % heads;
+            const float* kb = k.data() + b * in.seq * hidden + h * hd;
+            float* kt = context.data() + bh * hd * in.seq;
+            for (std::size_t j = 0; j < in.seq; ++j)
+              for (std::size_t d = 0; d < hd; ++d)
+                kt[d * in.seq + j] = kb[j * hidden + d];
+            float* sc = scores.data() + bh * in.seq * in.seq;
+            gemm(in.seq, in.seq, hd, q.data() + b * in.seq * hidden + h * hd,
+                 hidden, kt, in.seq, sc, in.seq);
+            for (std::size_t e = 0; e < in.seq * in.seq; ++e) sc[e] *= scale;
           }
         });
     if (mode_ == MatmulMode::kFp16) ibert::fake_quantize_fp16(scores.flat());
     nl_->softmax_rows(scores.flat(), score_rows, in.seq, site);
 
-    // Context (scores · V): each flattened (batch, head, query) row writes a
-    // disjoint hd-slice of `context`, so the same sharding applies.
-    Tensor& context = ws.prepare(ws.context, {rows, hidden});
     runtime::parallel_for(
-        0, score_rows, runtime::grain_for(in.seq * hd),
-        [&](std::size_t f0, std::size_t f1) {
-          for (std::size_t f = f0; f < f1; ++f) {
-            const std::size_t b = f / (heads * in.seq);
-            const std::size_t h = (f / in.seq) % heads;
-            const std::size_t i = f % in.seq;
-            const auto prow = scores.row(f);
-            float* out = context.data() + (b * in.seq + i) * hidden + h * hd;
-            for (std::size_t d = 0; d < hd; ++d) {
-              float acc = 0.0f;
-              for (std::size_t j = 0; j < in.seq; ++j)
-                acc += prow[j] * v.at(b * in.seq + j, d + h * hd);
-              out[d] = acc;
-            }
+        0, batch_heads, runtime::grain_for(in.seq * in.seq * hd),
+        [&](std::size_t p0, std::size_t p1) {
+          for (std::size_t bh = p0; bh < p1; ++bh) {
+            const std::size_t off =
+                (bh / heads) * in.seq * hidden + (bh % heads) * hd;
+            gemm(in.seq, hd, in.seq, scores.data() + bh * in.seq * in.seq,
+                 in.seq, v.data() + off, hidden, context.data() + off,
+                 hidden);
           }
         });
 

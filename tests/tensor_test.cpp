@@ -1,6 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <optional>
+#include <vector>
+
+#include "core/lut_kernel_simd.h"
 #include "numerics/rng.h"
+#include "runtime/thread_pool.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 
@@ -161,6 +172,163 @@ TEST(Ops, ApplyElementwise) {
   Tensor t = Tensor::full({2, 2}, 4.0f);
   apply(t, [](float v) { return v * v; });
   for (float v : t.flat()) EXPECT_EQ(v, 16.0f);
+}
+
+TEST(Ops, MatmulPropagatesNonFiniteBThroughZeroA) {
+  // Row 0 of A is all zeros; B holds a NaN and an inf. 0 * NaN and 0 * inf
+  // are NaN, so every output column that touches them must be NaN.
+  Tensor a({2, 3});
+  a.at(1, 0) = 1.0f;
+  Tensor b({3, 4});
+  b.at(0, 1) = std::numeric_limits<float>::quiet_NaN();
+  b.at(2, 2) = std::numeric_limits<float>::infinity();
+  Tensor c({2, 4});
+  matmul(a, b, c);
+  EXPECT_EQ(c.at(0, 0), 0.0f);
+  EXPECT_TRUE(std::isnan(c.at(0, 1)));
+  EXPECT_TRUE(std::isnan(c.at(0, 2)));
+  EXPECT_EQ(c.at(0, 3), 0.0f);
+  EXPECT_TRUE(std::isnan(c.at(1, 1)));
+  EXPECT_TRUE(std::isnan(c.at(1, 2)));  // 0 * inf in the k = 2 term
+
+  // matmul_at_accumulate had the same skip. A = at^T, whose row 0 (at's
+  // column 0) is all zeros.
+  Tensor at({3, 2});
+  at.at(0, 1) = 1.0f;
+  Tensor g({2, 4});
+  matmul_at_accumulate(at, b, g);
+  EXPECT_EQ(g.at(0, 0), 0.0f);
+  EXPECT_TRUE(std::isnan(g.at(0, 1)));
+  EXPECT_TRUE(std::isnan(g.at(0, 2)));
+}
+
+// The naive oracle of the GEMM determinism rule: each C element starts at
+// 0.0f and adds a[i][p] * b[p][j] for ascending p, multiply then add.
+void naive_gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                std::size_t lda, const float* b, std::size_t ldb, float* c,
+                std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i) {
+    float* crow = c + i * ldc;
+    for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0f;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = a[i * lda + p];
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * b[p * ldb + j];
+    }
+  }
+}
+
+std::uint32_t bits(float v) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof u);
+  return u;
+}
+
+// Values with exact zeros of both signs mixed in, so zero operands (which
+// the kernels must not skip) appear in every tile.
+std::vector<float> gemm_operand(std::size_t n, Rng& rng) {
+  std::vector<float> v(n);
+  for (float& x : v) {
+    const int kind = rng.uniform_int(0, 9);
+    x = kind == 0 ? 0.0f : kind == 1 ? -0.0f : rng.uniform(-2.0f, 2.0f);
+  }
+  return v;
+}
+
+constexpr std::size_t kGemmDims[] = {0, 1, 5, 17, 31, 33, 64, 100};
+
+/// Pins the GEMM tier (nullopt: the automatic choice, which honours
+/// NNLUT_SIMD_TIER) and the pool size for one scope. One RuntimeConfig sets
+/// both: it owns the tier override too.
+class ScopedTierAndPool {
+ public:
+  ScopedTierAndPool(std::optional<simd::SimdTier> tier, std::size_t threads) {
+    runtime::set_runtime_config({threads, tier});
+  }
+  ~ScopedTierAndPool() { runtime::set_runtime_config({}); }
+};
+
+/// matmul over every m, k, n in kGemmDims at the given tiers x pool sizes
+/// {1, 4}, bitwise against the naive oracle.
+void expect_matmul_parity(
+    const std::vector<std::optional<simd::SimdTier>>& tiers) {
+  Rng rng(21);
+  const float kPoison = std::numeric_limits<float>::quiet_NaN();
+  for (const std::size_t m : kGemmDims)
+    for (const std::size_t k : kGemmDims)
+      for (const std::size_t n : kGemmDims) {
+        Tensor a({m, k}), b({k, n});
+        const std::vector<float> av = gemm_operand(m * k, rng);
+        const std::vector<float> bv = gemm_operand(k * n, rng);
+        std::copy(av.begin(), av.end(), a.data());
+        std::copy(bv.begin(), bv.end(), b.data());
+        std::vector<float> expect(m * n);
+        naive_gemm(m, n, k, a.data(), k, b.data(), n, expect.data(), n);
+        for (const auto& tier : tiers)
+          for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            ScopedTierAndPool scope(tier, threads);
+            if (tier) {
+              ASSERT_EQ(simd::active_simd_tier(), *tier);
+            }
+            Tensor c = Tensor::full({m, n}, kPoison);  // k == 0 must zero it
+            matmul(a, b, c);
+            for (std::size_t e = 0; e < m * n; ++e)
+              ASSERT_EQ(bits(c[e]), bits(expect[e]))
+                  << "m=" << m << " k=" << k << " n=" << n << " elem " << e
+                  << " tier " << simd::simd_tier_name(simd::active_simd_tier())
+                  << " threads " << threads;
+          }
+      }
+}
+
+TEST(Ops, GemmParityEveryTierAndPool) {
+  std::vector<std::optional<simd::SimdTier>> tiers;
+  for (const simd::SimdTier t : simd::available_simd_tiers())
+    tiers.push_back(t);
+  expect_matmul_parity(tiers);
+}
+
+// The tier automatic dispatch picks, so a NNLUT_SIMD_TIER=<tier> run of
+// this case checks that tier through the environment path.
+TEST(Ops, GemmParityActiveTier) {
+  std::printf("active tier: %s\n",
+              simd::simd_tier_name(simd::active_simd_tier()));
+  expect_matmul_parity({std::nullopt});
+}
+
+// Strided operands, as attention passes them: Q_h and V_h are column
+// slices of [rows, hidden] (lda/ldb = hidden), context_h is a column slice
+// of its output (ldc = hidden). Columns outside the slice stay untouched.
+TEST(Ops, GemmParityStridedOperands) {
+  Rng rng(22);
+  struct Case {
+    std::size_t m, n, k, lda, ldb, ldc;
+  };
+  const Case cases[] = {
+      {17, 17, 16, 64, 17, 17},     // scores: Q_h (lda hidden) * K^T_h
+      {128, 128, 64, 256, 128, 128},
+      {17, 16, 17, 17, 64, 64},     // context: P_h * V_h (ldb, ldc hidden)
+      {128, 64, 128, 128, 256, 256},
+      {33, 31, 300, 301, 40, 45},   // k past one k block, odd strides
+      {5, 100, 1, 3, 101, 102},
+  };
+  for (const Case& t : cases) {
+    const std::vector<float> a = gemm_operand(t.m * t.lda, rng);
+    const std::vector<float> b = gemm_operand(t.k * t.ldb, rng);
+    const std::vector<float> canvas = gemm_operand(t.m * t.ldc, rng);
+    std::vector<float> expect = canvas;
+    naive_gemm(t.m, t.n, t.k, a.data(), t.lda, b.data(), t.ldb, expect.data(),
+               t.ldc);
+    for (const simd::SimdTier tier : simd::available_simd_tiers()) {
+      ScopedTierAndPool scope(tier, 1);
+      ASSERT_EQ(simd::active_simd_tier(), tier);
+      std::vector<float> c = canvas;
+      gemm(t.m, t.n, t.k, a.data(), t.lda, b.data(), t.ldb, c.data(), t.ldc);
+      for (std::size_t e = 0; e < c.size(); ++e)
+        ASSERT_EQ(bits(c[e]), bits(expect[e]))
+            << "m=" << t.m << " n=" << t.n << " k=" << t.k << " elem " << e
+            << " tier " << simd::simd_tier_name(tier);
+    }
+  }
 }
 
 TEST(Ops, MatmulEmptyDims) {

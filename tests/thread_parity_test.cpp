@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "approx/linear_lut.h"
@@ -428,6 +429,34 @@ TEST(EncodeValidation, OverlongSequenceThrows) {
 
   BatchInput in = random_batch(m.config(), 1, m.config().max_seq + 1, rng);
   EXPECT_THROW(infer.logits(in), std::out_of_range);
+}
+
+TEST(EncodeValidation, NonFiniteWeightThrows) {
+  // The matmul kernels no longer skip zero activations, so a NaN or inf
+  // weight would poison every logit; the constructor rejects it by name.
+  Rng rng(19);
+  TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
+  ExactNonlinearities exact(m.config().act);
+  m.encoder.layers[1].ff2.w.value[3] =
+      std::numeric_limits<float>::quiet_NaN();
+  try {
+    InferenceModel infer(m, exact);
+    FAIL() << "NaN weight accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("layer 1 ff2 weight"),
+              std::string::npos)
+        << e.what();
+  }
+  m.encoder.layers[1].ff2.w.value[3] = 0.5f;
+  m.head_lin.b.value[0] = -std::numeric_limits<float>::infinity();
+  EXPECT_THROW(InferenceModel(m, exact, MatmulMode::kInt8),
+               std::invalid_argument);
+  m.head_lin.b.value[0] = 0.0f;
+  // Finite, but past the fp16 range: inf after projection.
+  m.encoder.layers[0].attn.wq.w.value[0] = 1e6f;
+  EXPECT_NO_THROW(InferenceModel(m, exact, MatmulMode::kFp32));
+  EXPECT_THROW(InferenceModel(m, exact, MatmulMode::kFp16),
+               std::invalid_argument);
 }
 
 TEST(EncodeValidation, ValidIdsStillWork) {
