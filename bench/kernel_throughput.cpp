@@ -8,7 +8,9 @@
 // duration and recorded in the JSON (per-run label + "simd_*" context
 // keys), so artifacts from different machines are self-describing. The
 // same per-tier sweep covers the tiled GEMM (BM_GemmTier/<tier>) on the
-// encoder's matmul shapes, with a GFLOP/s counter.
+// encoder's matmul shapes, with a GFLOP/s counter. BM_BlockOp/<backend>/<op>
+// times each backend's GELU / softmax / LayerNorm block call on BERT-base
+// shapes, with a Melem/s counter.
 //
 // Unless --benchmark_out is given, results are also written as
 // machine-readable JSON to BENCH_kernel_throughput.json.
@@ -16,6 +18,8 @@
 
 #include <cstring>
 #include <deque>
+#include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,11 +29,13 @@
 #include "core/lut_kernel_simd.h"
 #include "core/nnlut_ops.h"
 #include "core/quantized_lut.h"
+#include "core/serialization.h"
 #include "core/transform.h"
 #include "ibert/ibert_kernels.h"
 #include "numerics/rng.h"
 #include "runtime/thread_pool.h"
 #include "tensor/ops.h"
+#include "transformer/backends.h"
 
 namespace {
 
@@ -389,6 +395,107 @@ BENCHMARK(BM_GemmIkjLoop)
     ->Args({512, 1024, 256})
     ->ArgNames({"m", "k", "n"});
 
+// --------------------------------------------------------------------------
+// Block nonlinearity calls on BERT-base shapes for one 128-token sequence,
+// the calls nnlut_bench's ops_block workload makes: GELU over [128 x 3072],
+// softmax over the [12*128 x 128] attention rows, LayerNorm over
+// [128 x 768], through each backend's block entry point on one pool lane
+// and the automatic SIMD tier. The LUT backends use the benchmark's
+// checked-in tables (bench/nnlut_bench/tables), so these rates are the
+// per-kernel counterpart of ops_block's. Melem/s counts input elements.
+// --------------------------------------------------------------------------
+
+enum class BlockOp { kGelu, kSoftmax, kLayerNorm };
+
+constexpr const char* kBlockBackends[] = {"exact", "lut_fp32", "lut_fp16",
+                                          "lut_int32", "ibert"};
+
+const transformer::LutSet& block_tables() {
+  static const transformer::LutSet luts = [] {
+    const std::string dir =
+        (std::filesystem::path(__FILE__).parent_path() / "nnlut_bench" /
+         "tables")
+            .string();
+    return transformer::LutSet{
+        load_lut(dir + "/gelu.lut"), load_lut(dir + "/exp.lut"),
+        load_lut(dir + "/div.lut"), load_lut(dir + "/rsqrt.lut")};
+  }();
+  return luts;
+}
+
+std::unique_ptr<transformer::NonlinearitySet> block_backend(int backend) {
+  transformer::LutNonlinearities::Options opt;
+  opt.select = transformer::ApproxSelection::all();
+  switch (backend) {
+    case 0:
+      return std::make_unique<transformer::ExactNonlinearities>();
+    case 1:
+      return make_lut_backend(block_tables(), LutPrecision::kFp32, opt);
+    case 2:
+      return make_lut_backend(block_tables(), LutPrecision::kFp16, opt);
+    case 3:
+      return make_lut_backend(block_tables(), LutPrecision::kInt32, opt);
+    default:
+      return std::make_unique<transformer::IBertNonlinearities>();
+  }
+}
+
+void BM_BlockOp(benchmark::State& state, int backend, BlockOp op) {
+  runtime::set_runtime_config({1});
+  const auto nl = block_backend(backend);
+  const std::size_t nrows = op == BlockOp::kSoftmax ? 12 * 128 : 128;
+  const std::size_t ncols = op == BlockOp::kGelu      ? 3072
+                            : op == BlockOp::kSoftmax ? 128
+                                                      : 768;
+  // Activations shaped like ops_block's: GELU inputs N(0, 1.5), attention
+  // logits N(0, 3), LayerNorm rows N(0.2, 1).
+  Rng rng(7);
+  std::vector<float> x(nrows * ncols), y(x.size());
+  const float sd = op == BlockOp::kGelu ? 1.5f : op == BlockOp::kSoftmax ? 3.0f
+                                                                         : 1.0f;
+  const float mean = op == BlockOp::kLayerNorm ? 0.2f : 0.0f;
+  for (float& v : x) v = rng.normal(mean, sd);
+  const std::vector<float> gamma(ncols, 1.0f), beta(ncols, 0.0f);
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (op != BlockOp::kLayerNorm) y = x;
+    state.ResumeTiming();
+    switch (op) {
+      case BlockOp::kGelu:
+        nl->activation_rows(y, nrows, ncols, 0);
+        break;
+      case BlockOp::kSoftmax:
+        nl->softmax_rows(y, nrows, ncols, 0);
+        break;
+      case BlockOp::kLayerNorm:
+        nl->layer_norm_rows(x, y, nrows, ncols, gamma, beta, 0);
+        break;
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["Melem/s"] =
+      benchmark::Counter(1e-6 * static_cast<double>(nrows * ncols),
+                         benchmark::Counter::kIsIterationInvariantRate);
+  state.SetLabel(simd::simd_tier_name(simd::active_simd_tier()));
+  runtime::set_runtime_config({});
+}
+
+/// One BM_BlockOp/<backend>/<op> per backend and op.
+void register_block_benchmarks() {
+  constexpr std::pair<BlockOp, const char*> kOps[] = {
+      {BlockOp::kGelu, "gelu"},
+      {BlockOp::kSoftmax, "softmax"},
+      {BlockOp::kLayerNorm, "layernorm"}};
+  for (int b = 0; b < static_cast<int>(std::size(kBlockBackends)); ++b)
+    for (const auto& [op, name] : kOps)
+      benchmark::RegisterBenchmark(
+          (std::string("BM_BlockOp/") + kBlockBackends[b] + "/" + name).c_str(),
+          BM_BlockOp, b, op)
+          ->Unit(benchmark::kMillisecond)
+          ->UseRealTime();
+}
+
 /// Register the tier sweeps for every tier this CPU can actually run.
 void register_tier_benchmarks() {
   for (SimdTier tier : simd::available_simd_tiers()) {
@@ -458,6 +565,7 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("simd_vnni",
                               simd::has_avx512vnni() ? "1" : "0");
   register_tier_benchmarks();
+  register_block_benchmarks();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

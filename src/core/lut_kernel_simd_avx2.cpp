@@ -34,6 +34,11 @@ namespace nnlut::simd {
 
 namespace a2 = avx2detail;
 
+namespace {
+/// The FP32 inputs, as the comparator bank sees them.
+inline __m256 load8(const float* q) { return _mm256_loadu_ps(q); }
+}  // namespace
+
 void avx2_fp32_eval(const float* bp, std::size_t nb, bool linear,
                     const float* s, const float* t, float* p, std::size_t n) {
   std::size_t i = 0;
@@ -49,21 +54,19 @@ void avx2_fp32_eval(const float* bp, std::size_t nb, bool linear,
     const __m256i lanes = a2::leading_lanes(nb + 1);
     const __m256 vs = _mm256_maskload_ps(s, lanes);
     const __m256 vt = _mm256_maskload_ps(t, lanes);
-    for (; i + 8 <= n; i += 8) {
-      const __m256 x = _mm256_loadu_ps(p + i);
-      const __m256i idx = a2::fp32_scan8(x, bp, nb);
+    i = a2::scan_loop8(p, n, bp, nb, load8, [&](float* q, __m256 x,
+                                                __m256i idx) {
       const __m256 ss = _mm256_permutevar8x32_ps(vs, idx);
       const __m256 tt = _mm256_permutevar8x32_ps(vt, idx);
-      _mm256_storeu_ps(p + i, _mm256_add_ps(_mm256_mul_ps(ss, x), tt));
-    }
+      _mm256_storeu_ps(q, _mm256_add_ps(_mm256_mul_ps(ss, x), tt));
+    });
   } else if (linear) {
-    for (; i + 8 <= n; i += 8) {
-      const __m256 x = _mm256_loadu_ps(p + i);
-      const __m256i idx = a2::fp32_scan8(x, bp, nb);
+    i = a2::scan_loop8(p, n, bp, nb, load8, [&](float* q, __m256 x,
+                                                __m256i idx) {
       const __m256 ss = _mm256_i32gather_ps(s, idx, 4);
       const __m256 tt = _mm256_i32gather_ps(t, idx, 4);
-      _mm256_storeu_ps(p + i, _mm256_add_ps(_mm256_mul_ps(ss, x), tt));
-    }
+      _mm256_storeu_ps(q, _mm256_add_ps(_mm256_mul_ps(ss, x), tt));
+    });
   } else {
     const a2::ResidentTreePs rt = a2::load_resident_tree_ps(bp, nb);
     for (; i + 8 <= n; i += 8) {
@@ -82,29 +85,28 @@ void avx2_int32_eval(const std::int32_t* bp, std::size_t nb, bool linear,
                      float so, float* p, std::size_t n) {
   const __m256 vsx = _mm256_set1_ps(sx);
   const __m256 vso = _mm256_set1_ps(so);
+  const auto quantized = [vsx](const float* q) {
+    return a2::int_quantize8(_mm256_loadu_ps(q), vsx);
+  };
   std::size_t i = 0;
   if (nb + 1 <= 8 && nb != 0) {
     const __m256i lanes = a2::leading_lanes(nb + 1);
     const __m256i vs = _mm256_maskload_epi32(s, lanes);
     const __m256i vt = _mm256_maskload_epi32(t, lanes);
-    for (; i + 8 <= n; i += 8) {
-      const __m256 x = _mm256_loadu_ps(p + i);
-      const __m256i qx = a2::int_quantize8(x, vsx);
-      const __m256i idx = a2::int32_scan8(qx, bp, nb);
-      const __m256i qs = _mm256_permutevar8x32_epi32(vs, idx);
-      const __m256i qt = _mm256_permutevar8x32_epi32(vt, idx);
-      _mm256_storeu_ps(p + i, a2::int_mac8(qs, qx, qt, vso));
-    }
+    i = a2::scan_loop8(
+        p, n, bp, nb, quantized, [&](float* q, __m256i qx, __m256i idx) {
+          const __m256i qs = _mm256_permutevar8x32_epi32(vs, idx);
+          const __m256i qt = _mm256_permutevar8x32_epi32(vt, idx);
+          _mm256_storeu_ps(q, a2::int_mac8(qs, qx, qt, vso));
+        });
   } else if (nb == 0 || linear) {
-    const __m256i zero = _mm256_setzero_si256();
-    for (; i + 8 <= n; i += 8) {
-      const __m256 x = _mm256_loadu_ps(p + i);
-      const __m256i qx = a2::int_quantize8(x, vsx);
-      const __m256i idx = nb == 0 ? zero : a2::int32_scan8(qx, bp, nb);
-      const __m256i qs = _mm256_i32gather_epi32(s, idx, 4);
-      const __m256i qt = _mm256_i32gather_epi32(t, idx, 4);
-      _mm256_storeu_ps(p + i, a2::int_mac8(qs, qx, qt, vso));
-    }
+    // With nb == 0 the scan compares nothing and every index is 0.
+    i = a2::scan_loop8(
+        p, n, bp, nb, quantized, [&](float* q, __m256i qx, __m256i idx) {
+          const __m256i qs = _mm256_i32gather_epi32(s, idx, 4);
+          const __m256i qt = _mm256_i32gather_epi32(t, idx, 4);
+          _mm256_storeu_ps(q, a2::int_mac8(qs, qx, qt, vso));
+        });
   } else {
     const a2::ResidentTreeEpi32 rt = a2::load_resident_tree_epi32(bp, nb);
     for (; i + 8 <= n; i += 8) {

@@ -7,8 +7,9 @@
 // and with -ffp-contract=off project-wide the copies are bit-identical.
 //
 // The comparator bank of Eq. 4 maps to `_mm256_cmp_ps(x, d_j, _CMP_NLT_UQ)`
-// per breakpoint — one vector compare evaluates 8 comparators at once, and
-// the mask-accumulate reproduces the scalar index formula (count of
+// per breakpoint — one vector compare evaluates 8 comparators at once (the
+// scan loop keeps 4 vectors in flight per breakpoint), and the
+// mask-accumulate reproduces the scalar index formula (count of
 // breakpoints with !(x < d), NaN landing in the padded tail) exactly.
 // Bisection keeps the first (up to) 3 tree levels register-resident: 7 heap
 // nodes in one register probed by vpermps, so each lane narrows to an
@@ -68,17 +69,70 @@ static inline ResidentTreeEpi32 load_resident_tree_epi32(
   return {_mm256_load_si256(reinterpret_cast<const __m256i*>(a)), levels};
 }
 
-/// Comparator-bank scan for 8 FP32 lanes (mask-accumulate, one broadcast
-/// compare per breakpoint). _CMP_NLT_UQ is exactly !(x < d): true for
-/// x >= d and for NaN.
-static inline __m256i fp32_scan8(__m256 x, const float* bp, std::size_t nb) {
-  __m256i idx = _mm256_setzero_si256();
-  for (std::size_t j = 0; j < nb; ++j) {
-    const __m256 d = _mm256_broadcast_ss(bp + j);
-    const __m256i ge = _mm256_castps_si256(_mm256_cmp_ps(x, d, _CMP_NLT_UQ));
-    idx = _mm256_sub_epi32(idx, ge);  // ge lanes are -1: subtract to count
-  }
+/// One comparator of the 8-lane bank scan. FP32: _CMP_NLT_UQ is exactly
+/// !(x < d), true for x >= d and for NaN, and its -1 lanes are subtracted
+/// to count. INT32: the -1 lanes of x < d are added, and scan_done counts
+/// them down from nb (padded INT32_MAX sentinels never fire because the
+/// quantizer saturates below them).
+static inline __m256i scan_step(__m256i idx, __m256 x, const float* d) {
+  const __m256 vd = _mm256_broadcast_ss(d);
+  const __m256 ge = _mm256_cmp_ps(x, vd, _CMP_NLT_UQ);
+  return _mm256_sub_epi32(idx, _mm256_castps_si256(ge));
+}
+static inline __m256i scan_step(__m256i acc, __m256i qx,
+                                const std::int32_t* d) {
+  return _mm256_add_epi32(acc, _mm256_cmpgt_epi32(_mm256_set1_epi32(*d), qx));
+}
+static inline __m256i scan_done(__m256i idx, __m256, std::size_t) {
   return idx;
+}
+static inline __m256i scan_done(__m256i acc, __m256i, std::size_t nb) {
+  return _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(nb)), acc);
+}
+
+/// Comparator-bank scan of V vectors of 8 lanes (FP32 or quantized INT32):
+/// idx counts the breakpoints each lane does not lie below. The V vectors
+/// share each breakpoint and run V independent compare / accumulate
+/// chains; per lane the sequence is the same for any V.
+template <int V, typename Vec, typename Bp>
+static inline void scan8(const Vec (&x)[V], const Bp* bp, std::size_t nb,
+                         __m256i (&idx)[V]) {
+  for (int v = 0; v < V; ++v) idx[v] = _mm256_setzero_si256();
+  for (std::size_t j = 0; j < nb; ++j)
+    for (int v = 0; v < V; ++v) idx[v] = scan_step(idx[v], x[v], bp + j);
+  for (int v = 0; v < V; ++v) idx[v] = scan_done(idx[v], x[v], nb);
+}
+
+/// Vectors per trip of the comparator-scan loop below.
+constexpr int kScanVectors = 4;
+
+/// The comparator-scan loop over p[0, n) in steps of 8 lanes. `load` maps
+/// 8 inputs to the values the bank compares (the FP32 inputs, their
+/// binary16-rounded images, or the quantized INT32 grid values); `finish`
+/// fetches, multiplies-adds and stores one vector from those values and
+/// its segment indices. kScanVectors vectors per trip keep their compare
+/// chains in flight together, the remainder goes one vector at a time.
+/// Returns where the scalar tail starts.
+template <typename Bp, typename Load, typename Finish>
+static inline std::size_t scan_loop8(float* p, std::size_t n, const Bp* bp,
+                                     std::size_t nb, Load load,
+                                     Finish finish) {
+  using Vec = decltype(load(p));
+  std::size_t i = 0;
+  for (; i + 8 * kScanVectors <= n; i += 8 * kScanVectors) {
+    Vec x[kScanVectors];
+    __m256i idx[kScanVectors];
+    for (int v = 0; v < kScanVectors; ++v) x[v] = load(p + i + 8 * v);
+    scan8(x, bp, nb, idx);
+    for (int v = 0; v < kScanVectors; ++v) finish(p + i + 8 * v, x[v], idx[v]);
+  }
+  for (; i + 8 <= n; i += 8) {
+    Vec x[1] = {load(p + i)};
+    __m256i idx[1];
+    scan8(x, bp, nb, idx);
+    finish(p + i, x[0], idx[0]);
+  }
+  return i;
 }
 
 /// Branchless bisection for 8 FP32 lanes: the first rt.levels probes come
@@ -108,19 +162,6 @@ static inline __m256i fp32_bisect8(__m256 x, const float* bp, std::size_t nb,
         pos, _mm256_and_si256(ge, _mm256_set1_epi32(static_cast<int>(step))));
   }
   return pos;
-}
-
-/// Comparator-bank scan for 8 quantized INT32 lanes (same selection
-/// semantics on the integer grid; padded INT32_MAX sentinels never fire
-/// because the quantizer saturates below them).
-static inline __m256i int32_scan8(__m256i qx, const std::int32_t* bp,
-                                  std::size_t nb) {
-  __m256i acc = _mm256_setzero_si256();
-  for (std::size_t j = 0; j < nb; ++j) {
-    const __m256i d = _mm256_set1_epi32(bp[j]);
-    acc = _mm256_add_epi32(acc, _mm256_cmpgt_epi32(d, qx));  // -1 per x < d
-  }
-  return _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(nb)), acc);
 }
 
 /// Branchless bisection for 8 quantized INT32 lanes, resident top levels

@@ -45,6 +45,13 @@ inline __m512 half_mac16(__m512 ss, __m512 xh, __m512 tt) {
   return round16_to_half(_mm512_add_ps(m, tt));
 }
 
+/// The values the comparator bank sees: the FP32 inputs, or (FP16 plans)
+/// their binary16-rounded images.
+inline __m512 load16(const float* q) { return _mm512_loadu_ps(q); }
+inline __m512 load16_half(const float* q) {
+  return round16_to_half(_mm512_loadu_ps(q));
+}
+
 }  // namespace
 
 void avx512_fp32_eval(const float* bp, std::size_t nb, bool linear,
@@ -62,13 +69,12 @@ void avx512_fp32_eval(const float* bp, std::size_t nb, bool linear,
     const __mmask16 lanes = static_cast<__mmask16>((1u << (nb + 1)) - 1u);
     const __m512 vs = _mm512_maskz_loadu_ps(lanes, s);
     const __m512 vt = _mm512_maskz_loadu_ps(lanes, t);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(p + i);
-      const __m512i idx = a5::fp32_scan16(x, bp, nb);
+    i = a5::scan_loop16(p, n, bp, nb, load16, [&](float* q, __m512 x,
+                                                  __m512i idx) {
       const __m512 ss = _mm512_permutexvar_ps(idx, vs);
       const __m512 tt = _mm512_permutexvar_ps(idx, vt);
-      _mm512_storeu_ps(p + i, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
-    }
+      _mm512_storeu_ps(q, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
+    });
   } else if (nb + 1 == 32) {
     // The whole linear-scan class stays in registers: a vpermt2ps across a
     // register pair covers padded banks of exactly 32 entries.
@@ -76,21 +82,19 @@ void avx512_fp32_eval(const float* bp, std::size_t nb, bool linear,
     const __m512 vs_hi = _mm512_loadu_ps(s + 16);
     const __m512 vt_lo = _mm512_loadu_ps(t);
     const __m512 vt_hi = _mm512_loadu_ps(t + 16);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(p + i);
-      const __m512i idx = a5::fp32_scan16(x, bp, nb);
+    i = a5::scan_loop16(p, n, bp, nb, load16, [&](float* q, __m512 x,
+                                                  __m512i idx) {
       const __m512 ss = _mm512_permutex2var_ps(vs_lo, idx, vs_hi);
       const __m512 tt = _mm512_permutex2var_ps(vt_lo, idx, vt_hi);
-      _mm512_storeu_ps(p + i, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
-    }
+      _mm512_storeu_ps(q, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
+    });
   } else if (linear) {
-    for (; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(p + i);
-      const __m512i idx = a5::fp32_scan16(x, bp, nb);
+    i = a5::scan_loop16(p, n, bp, nb, load16, [&](float* q, __m512 x,
+                                                  __m512i idx) {
       const __m512 ss = _mm512_i32gather_ps(idx, s, 4);
       const __m512 tt = _mm512_i32gather_ps(idx, t, 4);
-      _mm512_storeu_ps(p + i, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
-    }
+      _mm512_storeu_ps(q, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
+    });
   } else {
     const a5::ResidentTreePs rt = a5::load_resident_tree_ps(bp, nb);
     for (; i + 16 <= n; i += 16) {
@@ -119,33 +123,30 @@ void avx512_fp16_eval(const float* bp, std::size_t nb, bool linear,
     const __mmask16 lanes = static_cast<__mmask16>((1u << (nb + 1)) - 1u);
     const __m512 vs = _mm512_maskz_loadu_ps(lanes, s);
     const __m512 vt = _mm512_maskz_loadu_ps(lanes, t);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 xh = round16_to_half(_mm512_loadu_ps(p + i));
-      const __m512i idx = a5::fp32_scan16(xh, bp, nb);
+    i = a5::scan_loop16(p, n, bp, nb, load16_half, [&](float* q, __m512 xh,
+                                                       __m512i idx) {
       const __m512 ss = _mm512_permutexvar_ps(idx, vs);
       const __m512 tt = _mm512_permutexvar_ps(idx, vt);
-      _mm512_storeu_ps(p + i, half_mac16(ss, xh, tt));
-    }
+      _mm512_storeu_ps(q, half_mac16(ss, xh, tt));
+    });
   } else if (nb + 1 == 32) {
     const __m512 vs_lo = _mm512_loadu_ps(s);
     const __m512 vs_hi = _mm512_loadu_ps(s + 16);
     const __m512 vt_lo = _mm512_loadu_ps(t);
     const __m512 vt_hi = _mm512_loadu_ps(t + 16);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 xh = round16_to_half(_mm512_loadu_ps(p + i));
-      const __m512i idx = a5::fp32_scan16(xh, bp, nb);
+    i = a5::scan_loop16(p, n, bp, nb, load16_half, [&](float* q, __m512 xh,
+                                                       __m512i idx) {
       const __m512 ss = _mm512_permutex2var_ps(vs_lo, idx, vs_hi);
       const __m512 tt = _mm512_permutex2var_ps(vt_lo, idx, vt_hi);
-      _mm512_storeu_ps(p + i, half_mac16(ss, xh, tt));
-    }
+      _mm512_storeu_ps(q, half_mac16(ss, xh, tt));
+    });
   } else if (linear) {
-    for (; i + 16 <= n; i += 16) {
-      const __m512 xh = round16_to_half(_mm512_loadu_ps(p + i));
-      const __m512i idx = a5::fp32_scan16(xh, bp, nb);
+    i = a5::scan_loop16(p, n, bp, nb, load16_half, [&](float* q, __m512 xh,
+                                                       __m512i idx) {
       const __m512 ss = _mm512_i32gather_ps(idx, s, 4);
       const __m512 tt = _mm512_i32gather_ps(idx, t, 4);
-      _mm512_storeu_ps(p + i, half_mac16(ss, xh, tt));
-    }
+      _mm512_storeu_ps(q, half_mac16(ss, xh, tt));
+    });
   } else {
     const a5::ResidentTreePs rt = a5::load_resident_tree_ps(bp, nb);
     for (; i + 16 <= n; i += 16) {

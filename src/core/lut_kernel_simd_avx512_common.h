@@ -7,7 +7,8 @@
 // here, and with -ffp-contract=off the copies are bit-identical.
 //
 // Comparator results live in mask registers (one k-reg per compare,
-// accumulated with mask_add), and the whole 32-entry linear-scan class
+// accumulated with mask_add; the scan loop keeps 4 vectors in flight per
+// breakpoint broadcast), and the whole 32-entry linear-scan class
 // fetches (slope, intercept) with register permutes — vpermps for banks of
 // <= 16 padded entries, vpermt2ps across a register pair for the full 32.
 // Bisection keeps the first (up to) 5 tree levels register-resident: 31
@@ -60,17 +61,61 @@ static inline ResidentTreeEpi32 load_resident_tree_epi32(
   return {_mm512_load_si512(a), _mm512_load_si512(a + 16), levels};
 }
 
-/// Comparator-bank scan for 16 FP32 lanes; _CMP_NLT_UQ is exactly !(x < d):
-/// true for x >= d and for NaN.
-static inline __m512i fp32_scan16(__m512 x, const float* bp, std::size_t nb) {
+/// Per-lane comparator of the bank: _CMP_NLT_UQ is exactly !(x < d), true
+/// for x >= d and for NaN; on the quantized INT32 grid it is x >= d.
+static inline __mmask16 nlt_mask(__m512 x, const float* d) {
+  return _mm512_cmp_ps_mask(x, _mm512_set1_ps(*d), _CMP_NLT_UQ);
+}
+static inline __mmask16 nlt_mask(__m512i qx, const std::int32_t* d) {
+  return _mm512_cmp_epi32_mask(qx, _mm512_set1_epi32(*d), _MM_CMPINT_NLT);
+}
+
+/// Comparator-bank scan of V vectors of 16 lanes (FP32 or quantized INT32):
+/// idx counts the breakpoints each lane does not lie below. The V vectors
+/// share each breakpoint broadcast and run V independent compare / mask-add
+/// chains; per lane the sequence is the same for any V.
+template <int V, typename Vec, typename Bp>
+static inline void scan16(const Vec (&x)[V], const Bp* bp, std::size_t nb,
+                          __m512i (&idx)[V]) {
   const __m512i one = _mm512_set1_epi32(1);
-  __m512i idx = _mm512_setzero_si512();
-  for (std::size_t j = 0; j < nb; ++j) {
-    const __m512 d = _mm512_set1_ps(bp[j]);
-    const __mmask16 ge = _mm512_cmp_ps_mask(x, d, _CMP_NLT_UQ);
-    idx = _mm512_mask_add_epi32(idx, ge, idx, one);
+  for (int v = 0; v < V; ++v) idx[v] = _mm512_setzero_si512();
+  for (std::size_t j = 0; j < nb; ++j)
+    for (int v = 0; v < V; ++v)
+      idx[v] = _mm512_mask_add_epi32(idx[v], nlt_mask(x[v], bp + j), idx[v],
+                                     one);
+}
+
+/// Vectors per trip of the comparator-scan loop below.
+constexpr int kScanVectors = 4;
+
+/// The comparator-scan loop over p[0, n) in steps of 16 lanes. `load` maps
+/// 16 inputs to the values the bank compares (the FP32 inputs, their
+/// binary16-rounded images, or the quantized INT32 grid values); `finish`
+/// fetches, multiplies-adds and stores one vector from those values and
+/// its segment indices. kScanVectors vectors per trip keep their compare
+/// chains in flight together, the remainder goes one vector at a time.
+/// Returns where the scalar tail starts.
+template <typename Bp, typename Load, typename Finish>
+static inline std::size_t scan_loop16(float* p, std::size_t n, const Bp* bp,
+                                      std::size_t nb, Load load,
+                                      Finish finish) {
+  using Vec = decltype(load(p));
+  std::size_t i = 0;
+  for (; i + 16 * kScanVectors <= n; i += 16 * kScanVectors) {
+    Vec x[kScanVectors];
+    __m512i idx[kScanVectors];
+    for (int v = 0; v < kScanVectors; ++v) x[v] = load(p + i + 16 * v);
+    scan16(x, bp, nb, idx);
+    for (int v = 0; v < kScanVectors; ++v)
+      finish(p + i + 16 * v, x[v], idx[v]);
   }
-  return idx;
+  for (; i + 16 <= n; i += 16) {
+    Vec x[1] = {load(p + i)};
+    __m512i idx[1];
+    scan16(x, bp, nb, idx);
+    finish(p + i, x[0], idx[0]);
+  }
+  return i;
 }
 
 /// Branchless bisection for 16 FP32 lanes: the first rt.levels probes come
@@ -101,19 +146,6 @@ static inline __m512i fp32_bisect16(__m512 x, const float* bp, std::size_t nb,
     pos = _mm512_mask_add_epi32(pos, ge, pos, vstep);
   }
   return pos;
-}
-
-/// Comparator-bank scan for 16 quantized INT32 lanes.
-static inline __m512i int32_scan16(__m512i qx, const std::int32_t* bp,
-                                   std::size_t nb) {
-  const __m512i one = _mm512_set1_epi32(1);
-  __m512i idx = _mm512_setzero_si512();
-  for (std::size_t j = 0; j < nb; ++j) {
-    const __m512i d = _mm512_set1_epi32(bp[j]);
-    const __mmask16 ge = _mm512_cmp_epi32_mask(qx, d, _MM_CMPINT_NLT);
-    idx = _mm512_mask_add_epi32(idx, ge, idx, one);
-  }
-  return idx;
 }
 
 /// Branchless bisection for 16 quantized INT32 lanes, resident top levels
@@ -210,42 +242,39 @@ static inline void int32_eval16(const std::int32_t* bp, std::size_t nb,
                                 float* p, std::size_t n, MacFn mac) {
   const __m512 vsx = _mm512_set1_ps(sx);
   const __m512 vso = _mm512_set1_ps(so);
+  const auto quantized = [vsx](const float* q) {
+    return int_quantize16(_mm512_loadu_ps(q), vsx);
+  };
   std::size_t i = 0;
   if (nb != 0 && nb + 1 <= 16) {
     const __mmask16 lanes = static_cast<__mmask16>((1u << (nb + 1)) - 1u);
     const __m512i vs = _mm512_maskz_loadu_epi32(lanes, s);
     const __m512i vt = _mm512_maskz_loadu_epi32(lanes, t);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(p + i);
-      const __m512i qx = int_quantize16(x, vsx);
-      const __m512i idx = int32_scan16(qx, bp, nb);
-      const __m512i qs = _mm512_permutexvar_epi32(idx, vs);
-      const __m512i qt = _mm512_permutexvar_epi32(idx, vt);
-      _mm512_storeu_ps(p + i, mac(qs, qx, qt, vso));
-    }
+    i = scan_loop16(p, n, bp, nb, quantized,
+                    [&](float* q, __m512i qx, __m512i idx) {
+                      const __m512i qs = _mm512_permutexvar_epi32(idx, vs);
+                      const __m512i qt = _mm512_permutexvar_epi32(idx, vt);
+                      _mm512_storeu_ps(q, mac(qs, qx, qt, vso));
+                    });
   } else if (nb + 1 == 32) {
     const __m512i vs_lo = _mm512_loadu_si512(s);
     const __m512i vs_hi = _mm512_loadu_si512(s + 16);
     const __m512i vt_lo = _mm512_loadu_si512(t);
     const __m512i vt_hi = _mm512_loadu_si512(t + 16);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(p + i);
-      const __m512i qx = int_quantize16(x, vsx);
-      const __m512i idx = int32_scan16(qx, bp, nb);
-      const __m512i qs = _mm512_permutex2var_epi32(vs_lo, idx, vs_hi);
-      const __m512i qt = _mm512_permutex2var_epi32(vt_lo, idx, vt_hi);
-      _mm512_storeu_ps(p + i, mac(qs, qx, qt, vso));
-    }
+    i = scan_loop16(
+        p, n, bp, nb, quantized, [&](float* q, __m512i qx, __m512i idx) {
+          const __m512i qs = _mm512_permutex2var_epi32(vs_lo, idx, vs_hi);
+          const __m512i qt = _mm512_permutex2var_epi32(vt_lo, idx, vt_hi);
+          _mm512_storeu_ps(q, mac(qs, qx, qt, vso));
+        });
   } else if (nb == 0 || linear) {
-    const __m512i zero = _mm512_setzero_si512();
-    for (; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(p + i);
-      const __m512i qx = int_quantize16(x, vsx);
-      const __m512i idx = nb == 0 ? zero : int32_scan16(qx, bp, nb);
-      const __m512i qs = _mm512_i32gather_epi32(idx, s, 4);
-      const __m512i qt = _mm512_i32gather_epi32(idx, t, 4);
-      _mm512_storeu_ps(p + i, mac(qs, qx, qt, vso));
-    }
+    // With nb == 0 the scan compares nothing and every index is 0.
+    i = scan_loop16(p, n, bp, nb, quantized,
+                    [&](float* q, __m512i qx, __m512i idx) {
+                      const __m512i qs = _mm512_i32gather_epi32(idx, s, 4);
+                      const __m512i qt = _mm512_i32gather_epi32(idx, t, 4);
+                      _mm512_storeu_ps(q, mac(qs, qx, qt, vso));
+                    });
   } else {
     const ResidentTreeEpi32 rt = load_resident_tree_epi32(bp, nb);
     for (; i + 16 <= n; i += 16) {

@@ -50,6 +50,11 @@ inline __m256 half_mac8(__m256 ss, __m256 xh, __m256 tt) {
   return round8_to_half(_mm256_add_ps(m, tt));
 }
 
+/// The binary16-rounded inputs, as the comparator bank sees them.
+inline __m256 load8_half(const float* q) {
+  return round8_to_half(_mm256_loadu_ps(q));
+}
+
 }  // namespace
 
 void f16c_fp16_eval(const float* bp, std::size_t nb, bool linear,
@@ -66,21 +71,19 @@ void f16c_fp16_eval(const float* bp, std::size_t nb, bool linear,
     const __m256i lanes = a2::leading_lanes(nb + 1);
     const __m256 vs = _mm256_maskload_ps(s, lanes);
     const __m256 vt = _mm256_maskload_ps(t, lanes);
-    for (; i + 8 <= n; i += 8) {
-      const __m256 xh = round8_to_half(_mm256_loadu_ps(p + i));
-      const __m256i idx = a2::fp32_scan8(xh, bp, nb);
+    i = a2::scan_loop8(p, n, bp, nb, load8_half, [&](float* q, __m256 xh,
+                                                     __m256i idx) {
       const __m256 ss = _mm256_permutevar8x32_ps(vs, idx);
       const __m256 tt = _mm256_permutevar8x32_ps(vt, idx);
-      _mm256_storeu_ps(p + i, half_mac8(ss, xh, tt));
-    }
+      _mm256_storeu_ps(q, half_mac8(ss, xh, tt));
+    });
   } else if (linear) {
-    for (; i + 8 <= n; i += 8) {
-      const __m256 xh = round8_to_half(_mm256_loadu_ps(p + i));
-      const __m256i idx = a2::fp32_scan8(xh, bp, nb);
+    i = a2::scan_loop8(p, n, bp, nb, load8_half, [&](float* q, __m256 xh,
+                                                     __m256i idx) {
       const __m256 ss = _mm256_i32gather_ps(s, idx, 4);
       const __m256 tt = _mm256_i32gather_ps(t, idx, 4);
-      _mm256_storeu_ps(p + i, half_mac8(ss, xh, tt));
-    }
+      _mm256_storeu_ps(q, half_mac8(ss, xh, tt));
+    });
   } else {
     const a2::ResidentTreePs rt = a2::load_resident_tree_ps(bp, nb);
     for (; i + 8 <= n; i += 8) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 #include <vector>
 
 #include "runtime/thread_pool.h"
@@ -10,21 +11,44 @@ namespace nnlut {
 
 namespace {
 
-/// Exact mean and variance of one row (the MAC-array work), accumulated in
-/// double exactly like the reference implementation.
-void row_moments(const float* x, std::size_t n, float& mean_out,
-                 float& var_out) {
-  double mean = 0.0;
-  for (std::size_t j = 0; j < n; ++j) mean += x[j];
-  mean /= static_cast<double>(n);
-  double var = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double d = x[j] - mean;
-    var += d * d;
+// Rows reduced side by side. A reduction over one row is a serial chain
+// (every std::max or += waits on the previous one); kInterleave rows at once
+// give the core independent chains to overlap. Each row still folds its own
+// elements in ascending order with the one-row expression, so every row's
+// result is bit-identical to reducing it alone.
+constexpr std::size_t kInterleave = 8;
+
+/// Calls body(r0, std::integral_constant<std::size_t, G>{}) for row groups
+/// covering [0, nrows): full groups of G = kInterleave rows, then the
+/// remaining rows one at a time (G = 1, the one-row loop).
+template <typename Body>
+void for_row_groups(std::size_t nrows, Body&& body) {
+  std::size_t r = 0;
+  for (; r + kInterleave <= nrows; r += kInterleave)
+    body(r, std::integral_constant<std::size_t, kInterleave>{});
+  for (; r < nrows; ++r) body(r, std::integral_constant<std::size_t, 1>{});
+}
+
+/// Exact mean and variance (the MAC-array work) of G rows of length n,
+/// `stride` floats apart, accumulated in double exactly like the reference
+/// implementation.
+template <std::size_t G>
+void row_moments(const float* x, std::size_t stride, std::size_t n,
+                 float* mean_out, float* var_out) {
+  double mean[G] = {};
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t g = 0; g < G; ++g) mean[g] += x[g * stride + j];
+  for (std::size_t g = 0; g < G; ++g) mean[g] /= static_cast<double>(n);
+  double var[G] = {};
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t g = 0; g < G; ++g) {
+      const double d = x[g * stride + j] - mean[g];
+      var[g] += d * d;
+    }
+  for (std::size_t g = 0; g < G; ++g) {
+    mean_out[g] = static_cast<float>(mean[g]);
+    var_out[g] = static_cast<float>(var[g] / static_cast<double>(n));
   }
-  var /= static_cast<double>(n);
-  mean_out = static_cast<float>(mean);
-  var_out = static_cast<float>(var);
 }
 
 void affine_row(const float* x, float* y, std::size_t n, float mean, float inv,
@@ -41,8 +65,9 @@ void affine_row(const float* x, float* y, std::size_t n, float mean, float inv,
 // or on pool worker threads, both long-lived, so once a thread has seen the
 // largest block of a warmed serving slot these never reallocate. Every
 // element is (re)written before it is read, so recycled contents cannot
-// leak into results.
-thread_local std::vector<float> t_softmax_inv;
+// leak into results. t_softmax_row holds each row's max, then its sum, then
+// its reciprocal.
+thread_local std::vector<float> t_softmax_row;
 thread_local std::vector<float> t_ln_mean;
 thread_local std::vector<float> t_ln_vs;
 thread_local std::vector<unsigned char> t_ln_scaled;
@@ -80,28 +105,42 @@ void SoftmaxApprox::rows(std::span<float> data, std::size_t nrows,
 
 void SoftmaxApprox::rows_block(float* data, std::size_t nrows,
                                std::size_t ncols) const {
+  std::vector<float>& acc = t_softmax_row;
+  // Warm-once per thread: a serving slot's blocks stop growing it after the
+  // first request of its largest seq bucket.
+  acc.resize(nrows);  // lint:allow hot-alloc
+  for_row_groups(nrows, [&](std::size_t r0, auto group) {
+    constexpr std::size_t G = decltype(group)::value;
+    const float* rows = data + r0 * ncols;
+    float mx[G];
+    for (std::size_t g = 0; g < G; ++g) mx[g] = rows[g * ncols];
+    for (std::size_t j = 1; j < ncols; ++j)
+      for (std::size_t g = 0; g < G; ++g)
+        mx[g] = std::max(mx[g], rows[g * ncols + j]);
+    for (std::size_t g = 0; g < G; ++g) acc[r0 + g] = mx[g];
+  });
   for (std::size_t r = 0; r < nrows; ++r) {
     float* row = data + r * ncols;
-    float mx = row[0];
-    for (std::size_t j = 1; j < ncols; ++j) mx = std::max(mx, row[j]);
+    const float mx = acc[r];
     for (std::size_t j = 0; j < ncols; ++j)
       row[j] = std::clamp(row[j] - mx, exp_clip_.lo, exp_clip_.hi);
   }
   // One EXP LUT pass over every shifted logit of every row in the block.
   exp_fn_->eval_inplace(std::span<float>(data, nrows * ncols));
-  std::vector<float>& inv = t_softmax_inv;
-  inv.resize(nrows);
-  for (std::size_t r = 0; r < nrows; ++r) {
-    const float* row = data + r * ncols;
-    float sum = 0.0f;
-    for (std::size_t j = 0; j < ncols; ++j) sum += row[j];
-    inv[r] = sum;
-  }
+  for_row_groups(nrows, [&](std::size_t r0, auto group) {
+    constexpr std::size_t G = decltype(group)::value;
+    const float* rows = data + r0 * ncols;
+    float sum[G] = {};
+    for (std::size_t j = 0; j < ncols; ++j)
+      for (std::size_t g = 0; g < G; ++g) sum[g] += rows[g * ncols + j];
+    for (std::size_t g = 0; g < G; ++g) acc[r0 + g] = sum[g];
+  });
   // One Divide LUT pass over all the block's row normalizers.
-  recip_fn_->eval_inplace(inv);
+  recip_fn_->eval_inplace(acc);
   for (std::size_t r = 0; r < nrows; ++r) {
     float* row = data + r * ncols;
-    for (std::size_t j = 0; j < ncols; ++j) row[j] *= inv[r];
+    const float inv = acc[r];
+    for (std::size_t j = 0; j < ncols; ++j) row[j] *= inv;
   }
 }
 
@@ -123,7 +162,7 @@ void LayerNormApprox::operator()(std::span<const float> x, std::span<float> y,
   if (n == 0) return;
 
   float mean = 0.0f, var = 0.0f;
-  row_moments(x.data(), n, mean, var);
+  row_moments<1>(x.data(), n, n, &mean, &var);
   const float inv = inv_std(var + opt_.eps);
   affine_row(x.data(), y.data(), n, mean, inv, gamma, beta);
 }
@@ -153,14 +192,16 @@ void LayerNormApprox::rows_block(const float* x, float* y, std::size_t nrows,
   std::vector<float>& mean = t_ln_mean;
   std::vector<float>& vs = t_ln_vs;
   std::vector<unsigned char>& scaled = t_ln_scaled;
-  mean.resize(nrows);
-  vs.resize(nrows);
+  // Warm-once per thread, like t_softmax_row.
+  mean.resize(nrows);  // lint:allow hot-alloc
+  vs.resize(nrows);    // lint:allow hot-alloc
   scaled.assign(nrows, 0);  // assign, not resize: stale 1s must clear
+  for_row_groups(nrows, [&](std::size_t r0, auto group) {
+    constexpr std::size_t G = decltype(group)::value;
+    row_moments<G>(x + r0 * ncols, ncols, ncols, &mean[r0], &vs[r0]);
+  });
   for (std::size_t r = 0; r < nrows; ++r) {
-    float m = 0.0f, v = 0.0f;
-    row_moments(x + r * ncols, ncols, m, v);
-    mean[r] = m;
-    vs[r] = v + opt_.eps;
+    vs[r] = vs[r] + opt_.eps;
     if (opt_.input_scaling && vs[r] < 1.0f) {
       vs[r] = vs[r] * opt_.scale;
       scaled[r] = 1;

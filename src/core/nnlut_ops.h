@@ -53,7 +53,8 @@ class SoftmaxApprox {
   /// sharded across the runtime thread pool (rows are independent, so the
   /// result is bit-identical for any pool size); each block runs one EXP LUT
   /// call over all its shifted logits and one Divide LUT call over all its
-  /// normalizers.
+  /// normalizers. Row maxima and sums are reduced 8 rows side by side, each
+  /// row in ascending column order, so every row equals operator() on it.
   void rows(std::span<float> data, std::size_t nrows, std::size_t ncols) const;
 
  private:
@@ -94,8 +95,9 @@ class LayerNormApprox {
 
   /// `nrows` contiguous rows of length `ncols`, sharded row-blockwise across
   /// the runtime thread pool (bit-identical for any pool size): each block
-  /// computes exact per-row mean/variance, then ONE 1/SQRT LUT call over all
-  /// its row variances.
+  /// computes exact per-row mean/variance (8 rows side by side, each row's
+  /// double accumulation in ascending column order, so every row equals
+  /// operator() on it), then ONE 1/SQRT LUT call over all its row variances.
   void rows(std::span<const float> x, std::span<float> y, std::size_t nrows,
             std::size_t ncols, std::span<const float> gamma,
             std::span<const float> beta) const;

@@ -20,6 +20,17 @@ std::int64_t sat_q(float x) {
   if (std::isnan(x)) return 0;
   return static_cast<std::int64_t>(std::clamp(x, -kLim, kLim));
 }
+
+// Polynomial coefficients of I-BERT's integer erf (Alg. 2) and exp (Alg. 3),
+// shared by the scalar reference functions below and the hoisted row
+// kernels further down.
+constexpr float kErfA = -0.2888f;
+constexpr float kErfB = -1.769f;
+constexpr float kErfC = 1.0f;
+constexpr float kExpA = 0.3585f;
+constexpr float kExpB = 1.353f;
+constexpr float kExpC = 0.344f;
+constexpr float kLn2 = 0.69314718056f;
 }  // namespace
 
 QValue i_poly(QValue in, float a, float b, float c) {
@@ -34,19 +45,15 @@ QValue i_poly(QValue in, float a, float b, float c) {
 }
 
 QValue i_erf(QValue in) {
-  constexpr float a = -0.2888f;
-  constexpr float b = -1.769f;
-  constexpr float c = 1.0f;
-
   const std::int64_t sgn = in.q >= 0 ? 1 : -1;
   const std::int64_t q_abs = std::abs(in.q);
   // Clip |x| at -b = 1.769 where the polynomial reaches erf's plateau.
-  const std::int64_t q_clip_max = sat_q(std::floor(-b / in.s));
+  const std::int64_t q_clip_max = sat_q(std::floor(-kErfB / in.s));
   QValue clipped;
   clipped.q = std::min(q_abs, q_clip_max);
   clipped.s = in.s;
 
-  QValue l = i_poly(clipped, a, b, c);
+  QValue l = i_poly(clipped, kErfA, kErfB, kErfC);
   l.q *= sgn;
   return l;
 }
@@ -65,11 +72,6 @@ QValue i_gelu(QValue in) {
 }
 
 QValue i_exp(QValue in) {
-  constexpr float a = 0.3585f;
-  constexpr float b = 1.353f;
-  constexpr float c = 0.344f;
-  constexpr float kLn2 = 0.69314718056f;
-
   if (in.q > 0) in.q = 0;  // softmax always feeds x - max <= 0
 
   // When the input scale is coarser than ln2 (s > ln2), floor(ln2 / s) is 0
@@ -85,7 +87,7 @@ QValue i_exp(QValue in) {
   p.q = in.q + z * q_ln2;  // p in (-ln2, 0]
   p.s = in.s;
 
-  QValue l = i_poly(p, a, b, c);
+  QValue l = i_poly(p, kExpA, kExpB, kExpC);
   l.q = l.q >> std::min<std::int64_t>(z, 62);
   return l;
 }
@@ -156,6 +158,69 @@ std::int64_t quantize(float v, float s, float lim) {
 float grid_budget(int bits) { return static_cast<float>((1 << bits) - 1); }
 
 constexpr float kSoftmaxBudget = 16777216.0f;  // 2^24
+
+// The row kernels below evaluate i_exp / i_gelu with their scale-derived
+// constants hoisted: a row shares one scale, so the constants are computed
+// once per row from exactly the float expressions of i_poly / i_erf /
+// i_exp / i_gelu, and the per-element work is the same integer arithmetic.
+
+/// i_exp's constants for input scale s: the quantized ln2 (clamped to one
+/// grid step as in i_exp) and i_poly's q_b, q_c.
+struct ExpConsts {
+  std::int64_t q_ln2, qb, qc;
+  std::uint32_t q_ln2_div;  // q_ln2 capped at UINT32_MAX for exp_q's divide
+};
+
+ExpConsts exp_consts(float s) {
+  const float s_poly = kExpA * s * s;
+  ExpConsts k;
+  k.q_ln2 = std::max<std::int64_t>(sat_q(std::floor(kLn2 / s)), 1);
+  k.qb = sat_q(std::floor(kExpB / s));
+  k.qc = sat_q(std::floor(kExpC / s_poly));
+  k.q_ln2_div = static_cast<std::uint32_t>(std::min<std::int64_t>(
+      k.q_ln2, std::numeric_limits<std::uint32_t>::max()));
+  return k;
+}
+
+/// i_exp({q, s}).q for -(2^32 - 1) < q <= 0, with the range reduction's
+/// division in uint32. The softmax row kernel feeds q = quantize(x) - qmax
+/// with both terms within the 2^24 budget, so -q <= 2^25; q_ln2 <= ln2 / s
+/// is below 2^21 at the default 15 input bits. A q_ln2 of UINT32_MAX or more
+/// exceeds every -q in the domain, so its capped divisor gives i_exp's
+/// quotient 0 as well.
+std::int64_t exp_q(std::int64_t q, const ExpConsts& k) {
+  const std::int64_t z = static_cast<std::uint32_t>(-q) / k.q_ln2_div;
+  const std::int64_t base = q + z * k.q_ln2 + k.qb;
+  return (base * base + k.qc) >> std::min<std::int64_t>(z, 62);
+}
+
+/// i_gelu's constants for input scale s: i_erf's clip bound and i_poly's
+/// q_b, q_c on the erf grid s / sqrt(2), the quantized 1 on erf's output
+/// grid, and the GELU output scale.
+struct GeluConsts {
+  std::int64_t q_clip_max, qb, qc, q_one;
+  float s_out;
+};
+
+GeluConsts gelu_consts(float s) {
+  const float s_erf = s / static_cast<float>(M_SQRT2);
+  const float s_poly = kErfA * s_erf * s_erf;
+  GeluConsts k;
+  k.q_clip_max = sat_q(std::floor(-kErfB / s_erf));
+  k.qb = sat_q(std::floor(kErfB / s_erf));
+  k.qc = sat_q(std::floor(kErfC / s_poly));
+  k.q_one = sat_q(std::floor(1.0f / s_poly));
+  k.s_out = s * s_poly / 2.0f;
+  return k;
+}
+
+/// i_gelu({q, s}).value() given gelu_consts(s).
+float gelu_q(std::int64_t q, const GeluConsts& k) {
+  const std::int64_t sgn = q >= 0 ? 1 : -1;
+  const std::int64_t base = std::min(std::abs(q), k.q_clip_max) + k.qb;
+  const std::int64_t erf = (base * base + k.qc) * sgn;
+  return static_cast<float>(q * (erf + k.q_one)) * k.s_out;
+}
 }  // namespace
 
 namespace {
@@ -169,20 +234,24 @@ void softmax_span(std::span<float> row, std::vector<std::int64_t>& qe,
   // (where the nominal per-row scale would be coarser than ln2) produce a
   // valid, near-one-hot softmax instead of a degenerate all-zero table.
   // Normal attention rows (max |logit| <= ~5.7e3 at 15 bits) are unaffected.
-  constexpr float kCoarsestScale = 0.25f * 0.69314718056f;
+  constexpr float kCoarsestScale = 0.25f * kLn2;
   const float s = std::min(row_scale(row, input_bits), kCoarsestScale);
 
+  // Quantize once; the max shift and i_exp read the stored grid values.
+  // Warm-once per thread (see t_softmax_scratch).
+  qe.resize(row.size());  // lint:allow hot-alloc
   std::int64_t qmax = std::numeric_limits<std::int64_t>::min();
-  for (float v : row) qmax = std::max(qmax, quantize(v, s, kSoftmaxBudget));
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    qe[i] = quantize(row[i], s, kSoftmaxBudget);
+    qmax = std::max(qmax, qe[i]);
+  }
 
   // i_exp of the shifted entries; all share one output scale.
-  qe.resize(row.size());
+  const ExpConsts k = exp_consts(s);
   std::int64_t qsum = 0;
   for (std::size_t i = 0; i < row.size(); ++i) {
-    QValue in{quantize(row[i], s, kSoftmaxBudget) - qmax, s};
-    const QValue e = i_exp(in);
-    qe[i] = e.q;
-    qsum += e.q;
+    qe[i] = exp_q(qe[i] - qmax, k);
+    qsum += qe[i];
   }
   if (qsum <= 0) qsum = 1;
 
@@ -233,13 +302,11 @@ void gelu_row(std::span<float> row, int input_bits) {
   // not depend on the pool size); the elementwise integer GELU map shards.
   const float s = row_scale(row, input_bits);
   const float budget = grid_budget(input_bits);
+  const GeluConsts k = gelu_consts(s);
   runtime::parallel_for(0, row.size(), runtime::grain_for(16),
                         [&](std::size_t i0, std::size_t i1) {
-                          for (std::size_t i = i0; i < i1; ++i) {
-                            const QValue out =
-                                i_gelu({quantize(row[i], s, budget), s});
-                            row[i] = out.value();
-                          }
+                          for (std::size_t i = i0; i < i1; ++i)
+                            row[i] = gelu_q(quantize(row[i], s, budget), k);
                         });
 }
 
@@ -254,10 +321,9 @@ void gelu_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
         for (std::size_t r = r0; r < r1; ++r) {
           const std::span<float> row = data.subspan(r * ncols, ncols);
           const float s = row_scale(row, input_bits);
-          for (std::size_t i = 0; i < ncols; ++i) {
-            const QValue out = i_gelu({quantize(row[i], s, budget), s});
-            row[i] = out.value();
-          }
+          const GeluConsts k = gelu_consts(s);
+          for (std::size_t i = 0; i < ncols; ++i)
+            row[i] = gelu_q(quantize(row[i], s, budget), k);
         }
       });
 }
@@ -271,7 +337,7 @@ void layernorm_span(std::span<const float> x, std::span<float> y,
   if (n == 0) return;
 
   const float s = row_scale(x, input_bits);
-  q.resize(n);
+  q.resize(n);  // lint:allow hot-alloc (warm-once, see t_layernorm_scratch)
   std::int64_t sum = 0;
   for (std::size_t i = 0; i < n; ++i) {
     q[i] = quantize(x[i], s, grid_budget(input_bits));

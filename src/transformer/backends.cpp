@@ -158,6 +158,7 @@ void LutNonlinearities::layer_norm_rows(std::span<const float> x,
   lopt.input_scaling = opt_.input_scaling;
 
   if (capture_) {
+    if (site < 0) throw std::invalid_argument("site must be non-negative");
     if (capture_buffers_.size() <= static_cast<std::size_t>(site))
       capture_buffers_.resize(static_cast<std::size_t>(site) + 1);
     const CapturingFn cap(rsqrt_for_site(site),

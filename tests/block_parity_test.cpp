@@ -1,0 +1,234 @@
+// Block-vs-row parity of the nonlinearity kernels: the rows() block entry
+// points must produce exactly the bits of their per-row forms. The block
+// kernels reduce several rows at once and hoist per-row constants, so this
+// suite pins every remainder and tail: nrows on both sides of the
+// interleave width, ncols on both sides of the vector widths, hostile
+// values first, middle and last in a row, on every SIMD tier at pool sizes
+// 1 and 4. NaN compares equal to NaN (payloads are not part of the
+// contract); every other value compares by its bits.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "bit_built.h"
+#include "core/lut_kernel_simd.h"
+#include "core/nnlut_ops.h"
+#include "core/quantized_lut.h"
+#include "ibert/ibert_kernels.h"
+#include "runtime/thread_pool.h"
+
+namespace nnlut {
+namespace {
+
+using test::bit_built_table;
+using test::bit_built_uniform;
+using test::kExpSpec;
+using test::kRecipSpec;
+using test::kRsqrtSpec;
+
+constexpr std::size_t kRows[] = {1, 7, 8, 9, 17, 1536};
+constexpr std::size_t kCols[] = {1, 3, 33, 128, 768};
+
+/// Uniform rows over [-range, range). Row r carries one hostile value (or
+/// none, every seventh row) at its first, middle or last position, cycling
+/// so each value visits each position.
+std::vector<float> parity_input(std::size_t nrows, std::size_t ncols,
+                                float range) {
+  std::uint64_t state = 0x706172697479ull ^ (nrows * 1000003u + ncols);
+  std::vector<float> x(nrows * ncols);
+  for (float& v : x) v = bit_built_uniform(state, -range, range);
+  constexpr std::size_t kKinds = std::size(test::kSpecials) + 1;
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const std::size_t kind = r % kKinds;
+    if (kind == std::size(test::kSpecials)) continue;
+    const std::size_t pos[] = {0, ncols / 2, ncols - 1};
+    x[r * ncols + pos[(r / kKinds) % 3]] = test::kSpecials[kind];
+  }
+  return x;
+}
+
+void expect_same_bits(std::span<const float> block, std::span<const float> rows,
+                      const std::string& what) {
+  ASSERT_EQ(block.size(), rows.size());
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    if (std::isnan(block[i]) && std::isnan(rows[i])) continue;
+    if (std::bit_cast<std::uint32_t>(block[i]) ==
+        std::bit_cast<std::uint32_t>(rows[i]))
+      continue;
+    if (++bad <= 3)
+      ADD_FAILURE() << what << ": element " << i << " block=" << block[i]
+                    << " row=" << rows[i];
+  }
+  EXPECT_EQ(bad, 0u) << what;
+}
+
+std::string where(std::size_t nrows, std::size_t ncols) {
+  return " tier=" +
+         std::string(simd::simd_tier_name(*runtime::runtime_config().simd)) +
+         " threads=" + std::to_string(runtime::runtime_config().threads) +
+         " nrows=" + std::to_string(nrows) + " ncols=" + std::to_string(ncols);
+}
+
+/// Runs `body` on every available tier at pool sizes 1 and 4.
+template <typename Body>
+void for_each_runtime(Body body) {
+  for (const simd::SimdTier tier : simd::available_simd_tiers())
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      runtime::set_runtime_config({threads, tier});
+      body();
+    }
+  runtime::set_runtime_config({});
+}
+
+constexpr LutPrecision kPrecisions[] = {LutPrecision::kFp32,
+                                        LutPrecision::kFp16,
+                                        LutPrecision::kInt32};
+
+TEST(BlockParity, LutSoftmaxRowsMatchPerRow) {
+  for (const LutPrecision p : kPrecisions) {
+    const auto exp = make_lut_fn(bit_built_table(1, 16, kExpSpec), p, 256.0f);
+    const auto recip =
+        make_lut_fn(bit_built_table(2, 16, kRecipSpec), p, 1024.0f);
+    const SoftmaxApprox sm(*exp, *recip);
+    for_each_runtime([&] {
+      for (const std::size_t nrows : kRows)
+        for (const std::size_t ncols : kCols) {
+          const std::vector<float> x = parity_input(nrows, ncols, 8.0f);
+          std::vector<float> block = x, rows = x;
+          sm.rows(block, nrows, ncols);
+          for (std::size_t r = 0; r < nrows; ++r)
+            sm(std::span<float>(rows).subspan(r * ncols, ncols));
+          expect_same_bits(block, rows,
+                           "lut softmax p" +
+                               std::to_string(static_cast<int>(p)) +
+                               where(nrows, ncols));
+        }
+    });
+  }
+}
+
+TEST(BlockParity, LutLayerNormRowsMatchPerRow) {
+  for (const LutPrecision p : kPrecisions) {
+    const auto rsqrt =
+        make_lut_fn(bit_built_table(3, 16, kRsqrtSpec), p, 1024.0f);
+    const LayerNormApprox ln(*rsqrt);
+    for_each_runtime([&] {
+      for (const std::size_t nrows : kRows)
+        for (const std::size_t ncols : kCols) {
+          const std::vector<float> x = parity_input(nrows, ncols, 3.0f);
+          std::uint64_t state = ncols;
+          std::vector<float> gamma(ncols), beta(ncols);
+          for (float& g : gamma) g = bit_built_uniform(state, 0.5f, 1.5f);
+          for (float& b : beta) b = bit_built_uniform(state, -0.5f, 0.5f);
+          std::vector<float> block(x.size()), rows(x.size());
+          ln.rows(x, block, nrows, ncols, gamma, beta);
+          for (std::size_t r = 0; r < nrows; ++r)
+            ln(std::span<const float>(x).subspan(r * ncols, ncols),
+               std::span<float>(rows).subspan(r * ncols, ncols), gamma, beta);
+          expect_same_bits(block, rows,
+                           "lut layernorm p" +
+                               std::to_string(static_cast<int>(p)) +
+                               where(nrows, ncols));
+        }
+    });
+  }
+}
+
+TEST(BlockParity, IBertRowsMatchPerRow) {
+  for_each_runtime([&] {
+    for (const std::size_t nrows : kRows)
+      for (const std::size_t ncols : kCols) {
+        const std::vector<float> x = parity_input(nrows, ncols, 8.0f);
+        {
+          std::vector<float> block = x, rows = x;
+          ibert::softmax_rows(block, nrows, ncols);
+          for (std::size_t r = 0; r < nrows; ++r)
+            ibert::softmax_row(
+                std::span<float>(rows).subspan(r * ncols, ncols));
+          expect_same_bits(block, rows, "ibert softmax" + where(nrows, ncols));
+        }
+        {
+          std::vector<float> block = x, rows = x;
+          ibert::gelu_rows(block, nrows, ncols);
+          for (std::size_t r = 0; r < nrows; ++r)
+            ibert::gelu_row(std::span<float>(rows).subspan(r * ncols, ncols));
+          expect_same_bits(block, rows, "ibert gelu" + where(nrows, ncols));
+        }
+        {
+          const std::vector<float> gamma(ncols, 1.25f), beta(ncols, -0.125f);
+          std::vector<float> block(x.size()), rows(x.size());
+          ibert::layernorm_rows(x, block, nrows, ncols, gamma, beta);
+          for (std::size_t r = 0; r < nrows; ++r)
+            ibert::layernorm_row(
+                std::span<const float>(x).subspan(r * ncols, ncols),
+                std::span<float>(rows).subspan(r * ncols, ncols), gamma, beta);
+          expect_same_bits(block, rows,
+                           "ibert layernorm" + where(nrows, ncols));
+        }
+      }
+  });
+}
+
+/// The I-BERT row quantizer for a finite row: per-row scale from the max
+/// magnitude (floored at 2^-6, capped at ln2/4 for softmax), entries
+/// rounded half away from zero and clamped to the budget.
+struct RowGrid {
+  float s;
+  std::vector<std::int64_t> q;
+};
+
+RowGrid row_grid(std::span<const float> row, int bits, bool softmax) {
+  float mx = 0x1p-6f;
+  for (const float v : row) mx = std::max(mx, std::abs(v));
+  RowGrid g{mx / static_cast<float>((1 << bits) - 1), {}};
+  if (softmax) g.s = std::min(g.s, 0.25f * 0.69314718056f);
+  const float lim = softmax ? 0x1p24f : static_cast<float>((1 << bits) - 1);
+  for (const float v : row)
+    g.q.push_back(
+        static_cast<std::int64_t>(std::clamp(std::round(v / g.s), -lim, lim)));
+  return g;
+}
+
+// The hoisted I-BERT row kernels against the scalar reference API on the
+// same grid (15 input bits): i_gelu per element, and i_exp plus the
+// fixed-point normalizer (30 output bits) for softmax.
+TEST(BlockParity, IBertRowKernelsMatchScalarReference) {
+  std::vector<float> row = parity_input(1, 768, 6.0f);
+  row[0] = 0.25f;  // parity_input puts a NaN there
+  row[5] = 0.0f;
+
+  const RowGrid g = row_grid(row, 15, false);
+  std::vector<float> gelu = row;
+  ibert::gelu_row(gelu);
+  for (std::size_t i = 0; i < row.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(gelu[i]),
+              std::bit_cast<std::uint32_t>(
+                  ibert::i_gelu({g.q[i], g.s}).value()))
+        << i;
+
+  const RowGrid sg = row_grid(row, 15, true);
+  const std::int64_t qmax = *std::max_element(sg.q.begin(), sg.q.end());
+  std::vector<std::int64_t> e(row.size());
+  std::int64_t qsum = 0;
+  for (std::size_t i = 0; i < row.size(); ++i)
+    qsum += e[i] = ibert::i_exp({sg.q[i] - qmax, sg.s}).q;
+  const std::int64_t factor = (std::int64_t{1} << 62) / qsum;
+  std::vector<float> sm = row;
+  ibert::softmax_row(sm);
+  for (std::size_t i = 0; i < row.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(sm[i]),
+              std::bit_cast<std::uint32_t>(
+                  static_cast<float>((e[i] * factor) >> 32) * 0x1p-30f))
+        << i;
+}
+
+}  // namespace
+}  // namespace nnlut

@@ -25,6 +25,7 @@
 #include <string>
 #include <tuple>
 
+#include "bit_built.h"
 #include "core/lut_kernel_simd.h"
 #include "runtime/thread_pool.h"
 #include "transformer/infer.h"
@@ -32,20 +33,8 @@
 namespace nnlut::transformer {
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-/// Uniform on [-0.5, 0.5) over a 2^-24 grid: a 24-bit integer converts to
-/// float exactly and the power-of-two scale is exact too.
-float bit_built_float(std::uint64_t& state) {
-  const auto q = static_cast<std::int32_t>(splitmix64(state) >> 40) -
-                 (std::int32_t{1} << 23);
-  return static_cast<float>(q) * 0x1p-24f;
-}
+using test::bit_built_float;
+using test::splitmix64;
 
 ModelConfig golden_config() {
   ModelConfig c = ModelConfig::roberta_like();

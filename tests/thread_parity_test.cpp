@@ -370,30 +370,6 @@ TEST(IBertRegressions, TinyMagnitudeRowsStayDefined) {
   for (float v : y) EXPECT_TRUE(std::isfinite(v));
 }
 
-TEST(IBertRegressions, BlockKernelsMatchRowKernels) {
-  Rng rng(21);
-  const std::size_t nrows = 7, ncols = 33;
-  std::vector<float> data(nrows * ncols);
-  for (float& v : data) v = rng.uniform(-8.0f, 8.0f);
-
-  std::vector<float> by_row = data;
-  for (std::size_t r = 0; r < nrows; ++r)
-    ibert::softmax_row(std::span<float>(by_row).subspan(r * ncols, ncols));
-  std::vector<float> by_block = data;
-  ibert::softmax_rows(by_block, nrows, ncols);
-  for (std::size_t i = 0; i < data.size(); ++i)
-    EXPECT_EQ(by_row[i], by_block[i]) << i;
-
-  std::vector<float> gamma(ncols, 1.2f), beta(ncols, -0.1f);
-  std::vector<float> yr(data.size()), yb(data.size());
-  for (std::size_t r = 0; r < nrows; ++r)
-    ibert::layernorm_row(std::span<const float>(data).subspan(r * ncols, ncols),
-                         std::span<float>(yr).subspan(r * ncols, ncols), gamma,
-                         beta);
-  ibert::layernorm_rows(data, yb, nrows, ncols, gamma, beta);
-  for (std::size_t i = 0; i < data.size(); ++i) EXPECT_EQ(yr[i], yb[i]) << i;
-}
-
 TEST(EncodeValidation, OutOfRangeTokenIdThrows) {
   Rng rng(15);
   TaskModel m(tiny(), HeadKind::kClassify, 2, rng);

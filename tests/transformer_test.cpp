@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "approx/linear_lut.h"
 #include "core/function_library.h"
@@ -251,6 +253,23 @@ TEST(LutBackend, CaptureRecordsRsqrtInputs) {
   ASSERT_EQ(captured.size(), 1u);
   EXPECT_NEAR(captured[0], 5.0f, 1e-3f);
   EXPECT_TRUE(backend->captured_rsqrt_inputs(0).empty());
+}
+
+TEST(LutBackend, CaptureRejectsNegativeSite) {
+  LutNonlinearities::Options opt;
+  opt.select = ApproxSelection::layernorm_only();
+  auto backend =
+      make_lut_backend(exact_fitted_luts(), LutPrecision::kFp32, opt);
+  backend->enable_rsqrt_capture();
+
+  std::vector<float> x{3.0f, -3.0f, 1.0f, -1.0f};
+  std::vector<float> y(4);
+  backend->layer_norm(x, y, {}, {}, 1);
+  EXPECT_THROW(backend->layer_norm(x, y, {}, {}, -1), std::invalid_argument);
+  EXPECT_THROW(backend->layer_norm_rows(x, y, 2, 2, {}, {}, -1),
+               std::invalid_argument);
+  // The rejected calls leave every captured site intact.
+  EXPECT_EQ(backend->captured_rsqrt_inputs(1).size(), 1u);
 }
 
 TEST(IBertBackend, TracksExactOps) {
