@@ -8,7 +8,8 @@
 // duration and recorded in the JSON (per-run label + "simd_*" context
 // keys), so artifacts from different machines are self-describing. The
 // same per-tier sweep covers the tiled GEMM (BM_GemmTier/<tier>) on the
-// encoder's matmul shapes, with a GFLOP/s counter. BM_BlockOp/<backend>/<op>
+// encoder's matmul shapes and on one transposed-B and one transposed-A +
+// accumulate shape, with a GFLOP/s counter. BM_BlockOp/<backend>/<op>
 // times each backend's GELU / softmax / LayerNorm block call on BERT-base
 // shapes, with a Melem/s counter.
 //
@@ -330,22 +331,30 @@ void BM_LutTierPlanInt32(benchmark::State& state, SimdTier tier) {
 // --------------------------------------------------------------------------
 // Per-SIMD-tier GEMM throughput on the encoder's matmul shapes at 512 token
 // rows (m x k x n): attention projections 512x256x256, FFN-in
-// 512x256x1024, FFN-out 512x1024x256. One pool lane, so this is the tiled
-// kernel alone. BM_GemmIkjLoop is the untiled i-k-j loop matmul ran before
-// the tiled kernel (baseline flags, like the scalar tier), the yardstick
-// for the forced scalar tier. tests/tensor_test.cpp proves every tier
-// produces the loop's bits.
+// 512x256x1024, FFN-out 512x1024x256. Two more rows per tier time the
+// transposed-operand packers: BM_GemmTier/<tier>/bt is matmul_bt on the
+// BERT-mini attention scores shape (seq 128, head dim 64: 128x64x128, B
+// read transposed) and BM_GemmTier/<tier>/at_acc is matmul_at_accumulate
+// on a training dW shape (dW += X^T dY over 512 token rows: 256x512x256).
+// One pool lane, so this is the tiled kernel alone. BM_GemmIkjLoop is the
+// untiled i-k-j loop matmul ran before the tiled kernel (baseline flags,
+// like the scalar tier), the yardstick for the forced scalar tier.
+// tests/tensor_test.cpp proves every tier produces the loop's bits.
 // --------------------------------------------------------------------------
+
+/// The Tensor-level product a BM_GemmTier row runs.
+enum class GemmLayout { kRowMajor, kBt, kAtAccumulate };
 
 struct GemmOperands {
   Tensor a, b, c;
-  explicit GemmOperands(const benchmark::State& state)
-      : a({static_cast<std::size_t>(state.range(0)),
-           static_cast<std::size_t>(state.range(1))}),
-        b({static_cast<std::size_t>(state.range(1)),
-           static_cast<std::size_t>(state.range(2))}),
-        c({static_cast<std::size_t>(state.range(0)),
-           static_cast<std::size_t>(state.range(2))}) {
+  explicit GemmOperands(const benchmark::State& state,
+                        GemmLayout layout = GemmLayout::kRowMajor) {
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const auto k = static_cast<std::size_t>(state.range(1));
+    const auto n = static_cast<std::size_t>(state.range(2));
+    a = layout == GemmLayout::kAtAccumulate ? Tensor({k, m}) : Tensor({m, k});
+    b = layout == GemmLayout::kBt ? Tensor({n, k}) : Tensor({k, n});
+    c = Tensor({m, n});
     Rng rng(9);
     for (float& v : a.flat()) v = rng.uniform(-1.0f, 1.0f);
     for (float& v : b.flat()) v = rng.uniform(-1.0f, 1.0f);
@@ -359,11 +368,21 @@ void set_gflops(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
-void BM_GemmTier(benchmark::State& state, SimdTier tier) {
+void BM_GemmTier(benchmark::State& state, SimdTier tier, GemmLayout layout) {
   runtime::set_runtime_config({1, tier});  // one lane, pinned tier
-  GemmOperands op(state);
+  GemmOperands op(state, layout);
   for (auto _ : state) {
-    matmul(op.a, op.b, op.c);
+    switch (layout) {
+      case GemmLayout::kRowMajor:
+        matmul(op.a, op.b, op.c);
+        break;
+      case GemmLayout::kBt:
+        matmul_bt(op.a, op.b, op.c);
+        break;
+      case GemmLayout::kAtAccumulate:
+        matmul_at_accumulate(op.a, op.b, op.c);
+        break;
+    }
     benchmark::DoNotOptimize(op.c.data());
     benchmark::ClobberMemory();
   }
@@ -501,10 +520,18 @@ void register_tier_benchmarks() {
   for (SimdTier tier : simd::available_simd_tiers()) {
     const std::string name(simd::simd_tier_name(tier));
     benchmark::RegisterBenchmark(("BM_GemmTier/" + name).c_str(), BM_GemmTier,
-                                 tier)
+                                 tier, GemmLayout::kRowMajor)
         ->Args({512, 256, 256})
         ->Args({512, 256, 1024})
         ->Args({512, 1024, 256})
+        ->ArgNames({"m", "k", "n"});
+    benchmark::RegisterBenchmark(("BM_GemmTier/" + name + "/bt").c_str(),
+                                 BM_GemmTier, tier, GemmLayout::kBt)
+        ->Args({128, 64, 128})
+        ->ArgNames({"m", "k", "n"});
+    benchmark::RegisterBenchmark(("BM_GemmTier/" + name + "/at_acc").c_str(),
+                                 BM_GemmTier, tier, GemmLayout::kAtAccumulate)
+        ->Args({256, 512, 256})
         ->ArgNames({"m", "k", "n"});
     benchmark::RegisterBenchmark(("BM_LutTierPlan/" + name + "/fp32").c_str(),
                                  BM_LutTierPlanFp32, tier)

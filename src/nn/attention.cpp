@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "numerics/math.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 
 namespace nnlut::nn {
@@ -25,14 +26,6 @@ std::vector<Param*> MultiHeadAttention::params() {
   return ps;
 }
 
-namespace {
-/// Index of the (b, h, s) row in head layout [batch*heads*seq, head_dim].
-inline std::size_t head_row(std::size_t b, std::size_t h, std::size_t s,
-                            std::size_t heads, std::size_t seq) {
-  return (b * heads + h) * seq + s;
-}
-}  // namespace
-
 Tensor MultiHeadAttention::forward(const Tensor& x, std::size_t batch,
                                    std::size_t seq) {
   const std::size_t hidden = x.dim(1);
@@ -42,56 +35,24 @@ Tensor MultiHeadAttention::forward(const Tensor& x, std::size_t batch,
   head_dim_ = hidden / heads;
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
 
-  const Tensor q_flat = wq.forward(x);  // [B*S, H]
-  const Tensor k_flat = wk.forward(x);
-  const Tensor v_flat = wv.forward(x);
-
-  // Rearrange into head layout for cache (contiguous per (b,h)).
-  q_ = Tensor({batch * heads * seq, head_dim_});
-  k_ = Tensor({batch * heads * seq, head_dim_});
-  v_ = Tensor({batch * heads * seq, head_dim_});
-  for (std::size_t b = 0; b < batch; ++b)
-    for (std::size_t s = 0; s < seq; ++s)
-      for (std::size_t h = 0; h < heads; ++h) {
-        const std::size_t src = b * seq + s;
-        const std::size_t dst = head_row(b, h, s, heads, seq);
-        for (std::size_t j = 0; j < head_dim_; ++j) {
-          q_.at(dst, j) = q_flat.at(src, h * head_dim_ + j);
-          k_.at(dst, j) = k_flat.at(src, h * head_dim_ + j);
-          v_.at(dst, j) = v_flat.at(src, h * head_dim_ + j);
-        }
-      }
-
+  q_ = wq.forward(x);  // [B*S, H]; head h is the column slice h*head_dim
+  k_ = wk.forward(x);
+  v_ = wv.forward(x);
   probs_ = Tensor({batch * heads, seq, seq});
   Tensor context({batch * seq, hidden});
 
+  // Per (batch, head): P = softmax(Q K^T * scale), context = P V, all three
+  // operands read as column slices of the [B*S, H] projections.
   for (std::size_t bh = 0; bh < batch * heads; ++bh) {
-    const std::size_t base = bh * seq;
-    // Scores, then row-wise softmax.
-    for (std::size_t i = 0; i < seq; ++i) {
-      float* prow = probs_.data() + (bh * seq + i) * seq;
-      for (std::size_t j = 0; j < seq; ++j) {
-        float acc = 0.0f;
-        const float* qi = q_.data() + (base + i) * head_dim_;
-        const float* kj = k_.data() + (base + j) * head_dim_;
-        for (std::size_t d = 0; d < head_dim_; ++d) acc += qi[d] * kj[d];
-        prow[j] = acc * scale;
-      }
-      softmax_exact({prow, seq});
-    }
-    // Context = P V, scattered back to [B*S, H] layout.
-    const std::size_t b = bh / heads;
-    const std::size_t h = bh % heads;
-    for (std::size_t i = 0; i < seq; ++i) {
-      const float* prow = probs_.data() + (bh * seq + i) * seq;
-      float* out = context.data() + (b * seq + i) * hidden + h * head_dim_;
-      for (std::size_t d = 0; d < head_dim_; ++d) {
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < seq; ++j)
-          acc += prow[j] * v_.at(base + j, d);
-        out[d] = acc;
-      }
-    }
+    const std::size_t off =
+        (bh / heads) * seq * hidden + (bh % heads) * head_dim_;
+    float* p = probs_.data() + bh * seq * seq;
+    gemm(seq, seq, head_dim_, q_.data() + off, hidden, k_.data() + off, hidden,
+         p, seq, {.trans_b = true});
+    for (std::size_t e = 0; e < seq * seq; ++e) p[e] *= scale;
+    for (std::size_t i = 0; i < seq; ++i) softmax_exact({p + i * seq, seq});
+    gemm(seq, head_dim_, seq, p, seq, v_.data() + off, hidden,
+         context.data() + off, hidden);
   }
 
   return wo.forward(context);
@@ -103,57 +64,40 @@ Tensor MultiHeadAttention::backward(const Tensor& dy) {
 
   const Tensor dcontext = wo.backward(dy);  // [B*S, H]
 
-  Tensor dq_flat({batch_ * seq_, hidden});
-  Tensor dk_flat({batch_ * seq_, hidden});
-  Tensor dv_flat({batch_ * seq_, hidden});
-
-  std::vector<float> dscores(seq_);
+  Tensor dq({batch_ * seq_, hidden});
+  Tensor dk({batch_ * seq_, hidden});
+  Tensor dv({batch_ * seq_, hidden});
+  Tensor ds({seq_, seq_});
 
   for (std::size_t bh = 0; bh < batch_ * heads; ++bh) {
-    const std::size_t base = bh * seq_;
-    const std::size_t b = bh / heads;
-    const std::size_t h = bh % heads;
-
-    // dV[j] += sum_i P[i,j] * dC[i] ; dP[i,j] = dC[i] . V[j].
+    const std::size_t off =
+        (bh / heads) * seq_ * hidden + (bh % heads) * head_dim_;
+    const float* p = probs_.data() + bh * seq_ * seq_;
+    // dP = dC V^T, then the softmax backward row by row, in place:
+    // dS[i,j] = P[i,j] * (dP[i,j] - sum_k P[i,k] dP[i,k]) * scale.
+    gemm(seq_, seq_, head_dim_, dcontext.data() + off, hidden, v_.data() + off,
+         hidden, ds.data(), seq_, {.trans_b = true});
     for (std::size_t i = 0; i < seq_; ++i) {
-      const float* prow = probs_.data() + (bh * seq_ + i) * seq_;
-      const float* dc = dcontext.data() + (b * seq_ + i) * hidden + h * head_dim_;
-
-      // Softmax backward on the fly: ds[j] = P[j] * (dP[j] - sum_k P[k] dP[k]).
+      const float* prow = p + i * seq_;
+      float* dsrow = ds.data() + i * seq_;
       double dot = 0.0;
-      for (std::size_t j = 0; j < seq_; ++j) {
-        float dp = 0.0f;
-        const float* vj = v_.data() + (base + j) * head_dim_;
-        for (std::size_t d = 0; d < head_dim_; ++d) dp += dc[d] * vj[d];
-        dscores[j] = dp;
-        dot += static_cast<double>(prow[j]) * dp;
-      }
       for (std::size_t j = 0; j < seq_; ++j)
-        dscores[j] = prow[j] * (dscores[j] - static_cast<float>(dot));
-
-      // Accumulate dV, dQ, dK from this row.
-      const float* qi = q_.data() + (base + i) * head_dim_;
-      float* dqi =
-          dq_flat.data() + (b * seq_ + i) * hidden + h * head_dim_;
-      for (std::size_t j = 0; j < seq_; ++j) {
-        const float* kj = k_.data() + (base + j) * head_dim_;
-        float* dvj =
-            dv_flat.data() + (b * seq_ + j) * hidden + h * head_dim_;
-        float* dkj =
-            dk_flat.data() + (b * seq_ + j) * hidden + h * head_dim_;
-        const float ds = dscores[j] * scale;
-        for (std::size_t d = 0; d < head_dim_; ++d) {
-          dvj[d] += prow[j] * dc[d];
-          dqi[d] += ds * kj[d];
-          dkj[d] += ds * qi[d];
-        }
-      }
+        dot += static_cast<double>(prow[j]) * dsrow[j];
+      for (std::size_t j = 0; j < seq_; ++j)
+        dsrow[j] = prow[j] * (dsrow[j] - static_cast<float>(dot)) * scale;
     }
+    // dV = P^T dC, dQ = dS K, dK = dS^T Q.
+    gemm(seq_, head_dim_, seq_, p, seq_, dcontext.data() + off, hidden,
+         dv.data() + off, hidden, {.trans_a = true});
+    gemm(seq_, head_dim_, seq_, ds.data(), seq_, k_.data() + off, hidden,
+         dq.data() + off, hidden);
+    gemm(seq_, head_dim_, seq_, ds.data(), seq_, q_.data() + off, hidden,
+         dk.data() + off, hidden, {.trans_a = true});
   }
 
-  Tensor dx = wq.backward(dq_flat);
-  add_inplace(dx, wk.backward(dk_flat));
-  add_inplace(dx, wv.backward(dv_flat));
+  Tensor dx = wq.backward(dq);
+  add_inplace(dx, wk.backward(dk));
+  add_inplace(dx, wv.backward(dv));
   return dx;
 }
 

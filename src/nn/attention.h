@@ -1,5 +1,6 @@
 // Multi-head self-attention with hand-written backward pass.
-// Activations are [batch*seq, hidden]; the layer reshapes internally.
+// Activations are [batch*seq, hidden]; every per-(batch, head) product is a
+// strided gemm call over column slices of them, so nothing is reshaped.
 #pragma once
 
 #include <vector>
@@ -25,8 +26,9 @@ class MultiHeadAttention {
 
  private:
   std::size_t batch_ = 0, seq_ = 0, head_dim_ = 0;
-  // Caches from forward (per batch*head, flattened): Q, K, V in head layout
-  // [batch*heads*seq, head_dim], attention probabilities [batch*heads, seq, seq].
+  // Caches from forward: the Q, K, V projections [batch*seq, hidden] (head h
+  // is the column slice at h*head_dim) and the attention probabilities
+  // [batch*heads, seq, seq].
   Tensor q_, k_, v_;
   Tensor probs_;
 };

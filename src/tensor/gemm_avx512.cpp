@@ -18,8 +18,8 @@ namespace nnlut {
 
 void gemm_avx512(std::size_t m, std::size_t n, std::size_t k, const float* a,
                  std::size_t lda, const float* b, std::size_t ldb, float* c,
-                 std::size_t ldc) {
-  gemm_detail::gemm_tiled<8, 32>(m, n, k, a, lda, b, ldb, c, ldc);
+                 std::size_t ldc, GemmMode mode) {
+  gemm_detail::gemm_tiled<8, 32>(m, n, k, a, lda, b, ldb, c, ldc, mode);
 }
 
 }  // namespace nnlut

@@ -23,16 +23,20 @@
 // out-of-line instantiations are shared between TUs.
 //
 // Determinism rule: every output element is computed exactly as the naive
-// i-k-j loop computes it. It starts at 0.0f and adds a[i][p] * b[p][j] for
-// p = 0, 1, ..., k-1 in ascending order, one multiply then one add (the
-// project builds with -ffp-contract=off, so no FMA). Tiling only changes
-// which elements are in flight together, never the order of one element's
-// sum; k-blocking spills a partial sum to C and reloads it, which is exact.
-// Results are therefore bit-identical for every tier, tile size, thread
-// count and row partition.
+// i-k-j loop computes it. It starts at 0.0f (at its value in C when
+// accumulating) and adds A[i][p] * B[p][j] for p = 0, 1, ..., k-1 in
+// ascending order, one multiply then one add (the project builds with
+// -ffp-contract=off, so no FMA). Tiling only changes which elements are in
+// flight together, never the order of one element's sum; k-blocking spills
+// a partial sum to C and reloads it, which is exact. The transposed
+// layouts only change how the packers gather A and B. Results are
+// therefore bit-identical for every tier, tile size, thread count, row
+// partition and operand layout.
 #pragma once
 
 #include <cstddef>
+
+#include "tensor/gemm.h"
 
 namespace nnlut::gemm_detail {
 
@@ -67,48 +71,64 @@ template <std::size_t MR, std::size_t NR>
     for (std::size_t j = 0; j < NR; ++j) c[i * ldc + j] = acc[i][j];
 }
 
-/// C(m,n) = A(m,k) * B(k,n) over row-major operands with leading
-/// dimensions lda/ldb/ldc, on the calling thread. Every C element is
-/// written, including when k == 0 (zero-filled).
+/// nnlut::gemm on the calling thread (see tensor/gemm.h for the operand
+/// layouts and the k == 0 cases).
 template <std::size_t MR, std::size_t NR>
 static void gemm_tiled(std::size_t m, std::size_t n, std::size_t k,
                        const float* a, std::size_t lda, const float* b,
-                       std::size_t ldb, float* c, std::size_t ldc) {
+                       std::size_t ldb, float* c, std::size_t ldc,
+                       GemmMode mode) {
   if (k == 0) {
-    for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t i = 0; i < m && !mode.accumulate; ++i)
       for (std::size_t j = 0; j < n; ++j) c[i * ldc + j] = 0.0f;
     return;
   }
   // The B panel of one (column tile, k block), packed contiguous and padded
-  // with zeros past the last column, and a scratch tile for C edges. Both
-  // live on the stack: no heap and no per-thread state.
+  // with zeros past the last column; the A panel of one row tile, packed
+  // only when A comes transposed; and a scratch tile for C edges. All live
+  // on the stack: no heap and no per-thread state.
   alignas(64) float bp[kKc * NR];
+  alignas(64) float ap[MR * kKc];
   alignas(64) float edge[MR * NR] = {};
   for (std::size_t j0 = 0; j0 < n; j0 += NR) {
     const std::size_t nr = min_size(NR, n - j0);
     for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
       const std::size_t kc = min_size(kKc, k - k0);
-      for (std::size_t p = 0; p < kc; ++p) {
-        const float* src = b + (k0 + p) * ldb + j0;
-        float* dst = bp + p * NR;
-        for (std::size_t j = 0; j < NR; ++j) dst[j] = j < nr ? src[j] : 0.0f;
+      const bool first = k0 == 0 && !mode.accumulate;
+      if (mode.trans_b) {  // column j of the panel is row j0 + j of B^T
+        for (std::size_t j = 0; j < NR; ++j)
+          for (std::size_t p = 0; p < kc; ++p)
+            bp[p * NR + j] = j < nr ? b[(j0 + j) * ldb + k0 + p] : 0.0f;
+      } else {
+        for (std::size_t p = 0; p < kc; ++p) {
+          const float* src = b + (k0 + p) * ldb + j0;
+          float* dst = bp + p * NR;
+          for (std::size_t j = 0; j < NR; ++j) dst[j] = j < nr ? src[j] : 0.0f;
+        }
       }
       for (std::size_t i0 = 0; i0 < m; i0 += MR) {
         const std::size_t mr = min_size(MR, m - i0);
+        if (mode.trans_a) {  // row i of the panel is column i0 + i of A^T
+          for (std::size_t p = 0; p < kc; ++p)
+            for (std::size_t i = 0; i < mr; ++i)
+              ap[i * kKc + p] = a[(k0 + p) * lda + i0 + i];
+        }
         // Rows past the edge re-read the tile's last row. Their sums, like
         // those of the padded columns, land in `edge` and are dropped.
         const float* ar[MR];
-        for (std::size_t i = 0; i < MR; ++i)
-          ar[i] = a + (i0 + min_size(i, mr - 1)) * lda + k0;
+        for (std::size_t i = 0; i < MR; ++i) {
+          const std::size_t r = min_size(i, mr - 1);
+          ar[i] = mode.trans_a ? ap + r * kKc : a + (i0 + r) * lda + k0;
+        }
         float* ct = c + i0 * ldc + j0;
         if (mr == MR && nr == NR) {
-          tile_kernel<MR, NR>(kc, ar, bp, ct, ldc, k0 == 0);
+          tile_kernel<MR, NR>(kc, ar, bp, ct, ldc, first);
           continue;
         }
-        for (std::size_t i = 0; i < mr && k0 != 0; ++i)
+        for (std::size_t i = 0; i < mr && !first; ++i)
           for (std::size_t j = 0; j < nr; ++j)
             edge[i * NR + j] = ct[i * ldc + j];
-        tile_kernel<MR, NR>(kc, ar, bp, edge, NR, k0 == 0);
+        tile_kernel<MR, NR>(kc, ar, bp, edge, NR, first);
         for (std::size_t i = 0; i < mr; ++i)
           for (std::size_t j = 0; j < nr; ++j)
             ct[i * ldc + j] = edge[i * NR + j];

@@ -14,6 +14,19 @@ void check_2d(const Tensor& t) {
   assert(t.rank() == 2);
   (void)t;
 }
+
+// One gemm per block of output rows, sharded across the runtime pool.
+// Output rows are independent and gemm keeps each element's k order, so
+// results are bit-identical for any pool size.
+void sharded_gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                  std::size_t lda, const float* b, std::size_t ldb, float* c,
+                  GemmMode mode) {
+  runtime::parallel_for(
+      0, m, runtime::grain_for(k * n), [&](std::size_t i0, std::size_t i1) {
+        const float* ai = mode.trans_a ? a + i0 : a + i0 * lda;
+        gemm(i1 - i0, n, k, ai, lda, b, ldb, c + i0 * n, n, mode);
+      });
+}
 }  // namespace
 
 void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -22,16 +35,7 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
   check_2d(c);
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
   assert(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  // Output rows are independent, so row blocks shard across the runtime
-  // pool; gemm keeps each element's k order, so results are bit-identical
-  // for any pool size.
-  runtime::parallel_for(
-      0, m, runtime::grain_for(k * n), [&](std::size_t i0, std::size_t i1) {
-        gemm(i1 - i0, n, k, pa + i0 * k, k, pb, n, pc + i0 * n, n);
-      });
+  sharded_gemm(m, n, k, a.data(), k, b.data(), n, c.data(), {});
 }
 
 void matmul_bt(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -40,26 +44,8 @@ void matmul_bt(const Tensor& a, const Tensor& b, Tensor& c) {
   check_2d(c);
   const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   assert(b.dim(1) == k && c.dim(0) == m && c.dim(1) == n);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  runtime::parallel_for(
-      0, m, runtime::grain_for(k * n), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-          const float* arow = pa + i * k;
-          for (std::size_t j = 0; j < n; ++j) {
-            const float* brow = pb + j * k;
-            float acc = 0.0f;
-            for (std::size_t kk = 0; kk < k; ++kk) acc += arow[kk] * brow[kk];
-            pc[i * n + j] = acc;
-          }
-        }
-      });
-}
-
-void matmul_at(const Tensor& a, const Tensor& b, Tensor& c) {
-  c.zero();
-  matmul_at_accumulate(a, b, c);
+  sharded_gemm(m, n, k, a.data(), k, b.data(), k, c.data(),
+               {.trans_b = true});
 }
 
 void matmul_at_accumulate(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -68,18 +54,8 @@ void matmul_at_accumulate(const Tensor& a, const Tensor& b, Tensor& c) {
   check_2d(c);
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   assert(b.dim(0) == k && c.dim(0) == m && c.dim(1) == n);
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = c.data();
-  for (std::size_t kk = 0; kk < k; ++kk) {
-    const float* arow = pa + kk * m;
-    const float* brow = pb + kk * n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      float* crow = pc + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  sharded_gemm(m, n, k, a.data(), m, b.data(), n, c.data(),
+               {.trans_a = true, .accumulate = true});
 }
 
 void add_inplace(Tensor& y, const Tensor& x) {

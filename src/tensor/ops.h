@@ -1,10 +1,10 @@
 // Dense math on Tensors: matmul variants (the hot path of transformer
 // training and inference), bias/elementwise helpers and row-wise reductions.
-// matmul and matmul_bt shard output-row blocks across the runtime thread
-// pool (runtime/thread_pool.h); per-element accumulation order is fixed, so
-// results are bit-identical for any pool size. matmul runs the tiled,
-// ISA-dispatched gemm (tensor/gemm.h). No kernel skips zero operands:
-// 0 * NaN and 0 * inf reach the output as NaN.
+// Every matmul variant is one tiled, ISA-dispatched gemm (tensor/gemm.h)
+// per block of output rows, sharded across the runtime thread pool
+// (runtime/thread_pool.h); gemm fixes each element's accumulation order, so
+// results are bit-identical for any pool size and SIMD tier. No kernel
+// skips zero operands: 0 * NaN and 0 * inf reach the output as NaN.
 #pragma once
 
 #include <functional>
@@ -19,9 +19,6 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c);
 
 /// C = A(m,k) * B(n,k)^T  -> (m,n).
 void matmul_bt(const Tensor& a, const Tensor& b, Tensor& c);
-
-/// C = A(k,m)^T * B(k,n) -> (m,n).
-void matmul_at(const Tensor& a, const Tensor& b, Tensor& c);
 
 /// C += A(k,m)^T * B(k,n). Used for weight-gradient accumulation.
 void matmul_at_accumulate(const Tensor& a, const Tensor& b, Tensor& c);

@@ -212,29 +212,23 @@ const Tensor& InferenceModel::encode_into(const BatchInput& in,
     project(v, mode_);
 
     // Attention as per-(batch, head) GEMM calls:
-    //   scores_bh  = Q_bh (seq x hd, lda hidden) * K^T_bh (hd x seq)
+    //   scores_bh  = Q_bh (seq x hd, lda hidden) * K_bh^T (K_bh read
+    //                transposed in place, ldb hidden)
     //   context_bh = P_bh (seq x seq) * V_bh (seq x hd, ldb hidden)
-    // K^T_bh is packed row-major first. The packed [batch*heads*hd, seq]
-    // block has exactly the context slot's size and is dead before the
-    // context GEMM overwrites that slot, so it borrows the slot instead of
-    // adding workspace memory. Softmax runs over ALL score rows of the layer
-    // in one backend call in between. Every (batch, head) pair writes
-    // disjoint outputs, so both passes shard over the flattened pair index.
+    // Softmax runs over ALL score rows of the layer in one backend call in
+    // between. Every (batch, head) pair writes disjoint outputs, so both
+    // passes shard over the flattened pair index.
     Tensor& scores = ws.scores;
     Tensor& context = ws.prepare(ws.context, {rows, hidden});
     runtime::parallel_for(
         0, batch_heads, runtime::grain_for(in.seq * in.seq * hd),
         [&](std::size_t p0, std::size_t p1) {
           for (std::size_t bh = p0; bh < p1; ++bh) {
-            const std::size_t b = bh / heads, h = bh % heads;
-            const float* kb = k.data() + b * in.seq * hidden + h * hd;
-            float* kt = context.data() + bh * hd * in.seq;
-            for (std::size_t j = 0; j < in.seq; ++j)
-              for (std::size_t d = 0; d < hd; ++d)
-                kt[d * in.seq + j] = kb[j * hidden + d];
+            const std::size_t off =
+                (bh / heads) * in.seq * hidden + (bh % heads) * hd;
             float* sc = scores.data() + bh * in.seq * in.seq;
-            gemm(in.seq, in.seq, hd, q.data() + b * in.seq * hidden + h * hd,
-                 hidden, kt, in.seq, sc, in.seq);
+            gemm(in.seq, in.seq, hd, q.data() + off, hidden, k.data() + off,
+                 hidden, sc, in.seq, {.trans_b = true});
             for (std::size_t e = 0; e < in.seq * in.seq; ++e) sc[e] *= scale;
           }
         });

@@ -54,8 +54,7 @@ class Workspace {
   Tensor xn;        // norm_rows output, swapped with x
   Tensor q, k, v;   // attention projections [rows, hidden]
   Tensor scores;    // attention scores [batch*heads*seq, seq]
-  Tensor context;   // attention context [rows, hidden]; packed K^T before
-                    // the context GEMM overwrites it (infer.cpp)
+  Tensor context;   // attention context [rows, hidden]
   Tensor attn_out;  // W_O projection + residual [rows, hidden]
   Tensor x1, x2;    // post-norm states [rows, hidden]
   Tensor hmid;      // FFN inner activation [rows, ffn]

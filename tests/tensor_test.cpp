@@ -109,8 +109,8 @@ TEST(Ops, MatmulAtMatchesNaive) {
   Rng rng(5);
   const Tensor at = random_tensor({5, 6}, rng);  // a = at^T : (6, 5)
   const Tensor b = random_tensor({5, 7}, rng);
-  Tensor c({6, 7});
-  matmul_at(at, b, c);
+  Tensor c({6, 7});  // zeroed, so C += A * B leaves C = A * B
+  matmul_at_accumulate(at, b, c);
 
   Tensor a({6, 5});
   for (std::size_t i = 0; i < 5; ++i)
@@ -125,8 +125,8 @@ TEST(Ops, MatmulAtAccumulates) {
   const Tensor at = random_tensor({3, 4}, rng);
   const Tensor b = random_tensor({3, 2}, rng);
   Tensor c = Tensor::full({4, 2}, 1.0f);
-  Tensor base({4, 2});
-  matmul_at(at, b, base);
+  Tensor base({4, 2});  // zeroed: A * B alone
+  matmul_at_accumulate(at, b, base);
   matmul_at_accumulate(at, b, c);
   for (std::size_t i = 0; i < c.size(); ++i)
     EXPECT_NEAR(c[i], base[i] + 1.0f, 1e-5f);
@@ -203,16 +203,19 @@ TEST(Ops, MatmulPropagatesNonFiniteBThroughZeroA) {
 }
 
 // The naive oracle of the GEMM determinism rule: each C element starts at
-// 0.0f and adds a[i][p] * b[p][j] for ascending p, multiply then add.
+// 0.0f (at its value in C under accumulate) and adds A[i][p] * B[p][j] for
+// ascending p, multiply then add. trans_a / trans_b read A / B from their
+// stored transposes, as gemm does.
 void naive_gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
                 std::size_t lda, const float* b, std::size_t ldb, float* c,
-                std::size_t ldc) {
+                std::size_t ldc, GemmMode mode = {}) {
   for (std::size_t i = 0; i < m; ++i) {
     float* crow = c + i * ldc;
-    for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0f;
+    for (std::size_t j = 0; j < n && !mode.accumulate; ++j) crow[j] = 0.0f;
     for (std::size_t p = 0; p < k; ++p) {
-      const float av = a[i * lda + p];
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * b[p * ldb + j];
+      const float av = mode.trans_a ? a[p * lda + i] : a[i * lda + p];
+      for (std::size_t j = 0; j < n; ++j)
+        crow[j] += av * (mode.trans_b ? b[j * ldb + p] : b[p * ldb + j]);
     }
   }
 }
@@ -247,37 +250,61 @@ class ScopedTierAndPool {
   ~ScopedTierAndPool() { runtime::set_runtime_config({}); }
 };
 
-/// matmul over every m, k, n in kGemmDims at the given tiers x pool sizes
-/// {1, 4}, bitwise against the naive oracle.
+/// A Tensor-level matmul and the gemm layout it runs.
+struct MatmulVariant {
+  const char* name;
+  void (*fn)(const Tensor&, const Tensor&, Tensor&);
+  GemmMode mode;
+};
+constexpr MatmulVariant kMatmulVariants[] = {
+    {"matmul", matmul, {}},
+    {"matmul_bt", matmul_bt, {.trans_b = true}},
+    {"matmul_at_accumulate", matmul_at_accumulate,
+     {.trans_a = true, .accumulate = true}},
+};
+
+/// Every matmul variant over every m, k, n in kGemmDims at the given tiers x
+/// pool sizes {1, 4}, bitwise against the naive oracle. The overwriting
+/// variants start from a NaN canvas (k == 0 must zero it), the accumulating
+/// one from a random canvas (k == 0 must leave it as it is).
 void expect_matmul_parity(
     const std::vector<std::optional<simd::SimdTier>>& tiers) {
   Rng rng(21);
-  const float kPoison = std::numeric_limits<float>::quiet_NaN();
-  for (const std::size_t m : kGemmDims)
-    for (const std::size_t k : kGemmDims)
-      for (const std::size_t n : kGemmDims) {
-        Tensor a({m, k}), b({k, n});
-        const std::vector<float> av = gemm_operand(m * k, rng);
-        const std::vector<float> bv = gemm_operand(k * n, rng);
-        std::copy(av.begin(), av.end(), a.data());
-        std::copy(bv.begin(), bv.end(), b.data());
-        std::vector<float> expect(m * n);
-        naive_gemm(m, n, k, a.data(), k, b.data(), n, expect.data(), n);
-        for (const auto& tier : tiers)
-          for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            ScopedTierAndPool scope(tier, threads);
-            if (tier) {
-              ASSERT_EQ(simd::active_simd_tier(), *tier);
+  for (const MatmulVariant& var : kMatmulVariants)
+    for (const std::size_t m : kGemmDims)
+      for (const std::size_t k : kGemmDims)
+        for (const std::size_t n : kGemmDims) {
+          const GemmMode mode = var.mode;
+          Tensor a(mode.trans_a ? std::vector{k, m} : std::vector{m, k});
+          Tensor b(mode.trans_b ? std::vector{n, k} : std::vector{k, n});
+          Tensor canvas = Tensor::full(
+              {m, n}, std::numeric_limits<float>::quiet_NaN());
+          const auto fill = [&](Tensor& t) {
+            const std::vector<float> v = gemm_operand(t.size(), rng);
+            std::copy(v.begin(), v.end(), t.data());
+          };
+          fill(a);
+          fill(b);
+          if (mode.accumulate) fill(canvas);
+          std::vector<float> expect(canvas.data(), canvas.data() + m * n);
+          naive_gemm(m, n, k, a.data(), a.dim(1), b.data(), b.dim(1),
+                     expect.data(), n, mode);
+          for (const auto& tier : tiers)
+            for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+              ScopedTierAndPool scope(tier, threads);
+              if (tier) {
+                ASSERT_EQ(simd::active_simd_tier(), *tier);
+              }
+              Tensor c = canvas;
+              var.fn(a, b, c);
+              for (std::size_t e = 0; e < m * n; ++e)
+                ASSERT_EQ(bits(c[e]), bits(expect[e]))
+                    << var.name << " m=" << m << " k=" << k << " n=" << n
+                    << " elem " << e << " tier "
+                    << simd::simd_tier_name(simd::active_simd_tier())
+                    << " threads " << threads;
             }
-            Tensor c = Tensor::full({m, n}, kPoison);  // k == 0 must zero it
-            matmul(a, b, c);
-            for (std::size_t e = 0; e < m * n; ++e)
-              ASSERT_EQ(bits(c[e]), bits(expect[e]))
-                  << "m=" << m << " k=" << k << " n=" << n << " elem " << e
-                  << " tier " << simd::simd_tier_name(simd::active_simd_tier())
-                  << " threads " << threads;
-          }
-      }
+        }
 }
 
 TEST(Ops, GemmParityEveryTierAndPool) {
@@ -295,37 +322,48 @@ TEST(Ops, GemmParityActiveTier) {
   expect_matmul_parity({std::nullopt});
 }
 
-// Strided operands, as attention passes them: Q_h and V_h are column
+// Strided operands, as attention passes them: Q_h, K_h and V_h are column
 // slices of [rows, hidden] (lda/ldb = hidden), context_h is a column slice
 // of its output (ldc = hidden). Columns outside the slice stay untouched.
 TEST(Ops, GemmParityStridedOperands) {
   Rng rng(22);
   struct Case {
     std::size_t m, n, k, lda, ldb, ldc;
+    GemmMode mode;
   };
   const Case cases[] = {
-      {17, 17, 16, 64, 17, 17},     // scores: Q_h (lda hidden) * K^T_h
-      {128, 128, 64, 256, 128, 128},
-      {17, 16, 17, 17, 64, 64},     // context: P_h * V_h (ldb, ldc hidden)
-      {128, 64, 128, 128, 256, 256},
-      {33, 31, 300, 301, 40, 45},   // k past one k block, odd strides
-      {5, 100, 1, 3, 101, 102},
+      {17, 17, 16, 64, 64, 17, {.trans_b = true}},  // scores: Q_h * K_h^T
+      {128, 128, 64, 256, 256, 128, {.trans_b = true}},
+      {17, 16, 17, 17, 64, 64, {}},  // context: P_h * V_h (ldb, ldc hidden)
+      {128, 64, 128, 128, 256, 256, {}},
+      {17, 16, 17, 17, 64, 64, {.trans_a = true}},  // training dV = P^T dC
+      {33, 31, 300, 301, 40, 45, {}},  // k past one k block, odd strides
+      {33, 31, 300, 40, 301, 45, {.trans_a = true, .trans_b = true}},
+      {33, 31, 300, 301, 40, 45, {.accumulate = true}},  // onto the canvas
+      {33, 31, 300, 40, 45, 45, {.trans_a = true, .accumulate = true}},
+      {5, 100, 1, 3, 101, 102, {}},
+      {5, 7, 0, 3, 9, 9, {.accumulate = true}},  // k == 0: C bit-for-bit kept
   };
   for (const Case& t : cases) {
-    const std::vector<float> a = gemm_operand(t.m * t.lda, rng);
-    const std::vector<float> b = gemm_operand(t.k * t.ldb, rng);
+    const std::vector<float> a =
+        gemm_operand((t.mode.trans_a ? t.k : t.m) * t.lda, rng);
+    const std::vector<float> b =
+        gemm_operand((t.mode.trans_b ? t.n : t.k) * t.ldb, rng);
     const std::vector<float> canvas = gemm_operand(t.m * t.ldc, rng);
     std::vector<float> expect = canvas;
     naive_gemm(t.m, t.n, t.k, a.data(), t.lda, b.data(), t.ldb, expect.data(),
-               t.ldc);
+               t.ldc, t.mode);
     for (const simd::SimdTier tier : simd::available_simd_tiers()) {
       ScopedTierAndPool scope(tier, 1);
       ASSERT_EQ(simd::active_simd_tier(), tier);
       std::vector<float> c = canvas;
-      gemm(t.m, t.n, t.k, a.data(), t.lda, b.data(), t.ldb, c.data(), t.ldc);
+      gemm(t.m, t.n, t.k, a.data(), t.lda, b.data(), t.ldb, c.data(), t.ldc,
+           t.mode);
       for (std::size_t e = 0; e < c.size(); ++e)
         ASSERT_EQ(bits(c[e]), bits(expect[e]))
-            << "m=" << t.m << " n=" << t.n << " k=" << t.k << " elem " << e
+            << "m=" << t.m << " n=" << t.n << " k=" << t.k << " trans_a "
+            << t.mode.trans_a << " trans_b " << t.mode.trans_b
+            << " accumulate " << t.mode.accumulate << " elem " << e
             << " tier " << simd::simd_tier_name(tier);
     }
   }
