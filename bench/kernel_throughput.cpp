@@ -588,7 +588,6 @@ int main(int argc, char** argv) {
                               simd::simd_tier_name(simd::detected_simd_tier()));
   benchmark::AddCustomContext("simd_auto",
                               simd::simd_tier_name(simd::auto_simd_tier()));
-  benchmark::AddCustomContext("simd_f16c", simd::has_f16c() ? "1" : "0");
   benchmark::AddCustomContext("simd_vnni",
                               simd::has_avx512vnni() ? "1" : "0");
   register_tier_benchmarks();

@@ -15,7 +15,7 @@
 namespace nnlut {
 namespace {
 
-using simd::detail::bisect_index;
+using simd::detail::fill_indices;
 using simd::detail::half_mac;
 using simd::detail::int_quantize;
 
@@ -25,10 +25,6 @@ std::size_t pad_entries(std::size_t entries) {
   while (p < entries) p <<= 1;
   return p;
 }
-
-// Tables at or below this padded size use the linear comparator-bank scan;
-// larger ones use branchless bisection.
-constexpr std::size_t kLinearScanMax = 32;
 
 constexpr float kIntQMax = 32767.0f;  // +-2^15 - 1 budget for MAC operands
 
@@ -48,7 +44,6 @@ LutKernel::LutKernel(std::span<const float> breakpoints,
   slopes_.resize(padded, slopes.back());
   intercepts_.assign(intercepts.begin(), intercepts.end());
   intercepts_.resize(padded, intercepts.back());
-  linear_scan_ = padded <= kLinearScanMax;
 }
 
 void LutKernel::eval(std::span<float> xs) const {
@@ -56,22 +51,14 @@ void LutKernel::eval(std::span<float> xs) const {
   // One indirect call per span through the runtime-selected ISA tier; every
   // tier is bit-identical (core/lut_kernel_simd.h).
   simd::active_simd_ops().fp32_eval(breakpoints_.data(), breakpoints_.size(),
-                                    linear_scan_, slopes_.data(),
-                                    intercepts_.data(), xs.data(), xs.size());
+                                    slopes_.data(), intercepts_.data(),
+                                    xs.data(), xs.size());
 }
 
 float LutKernel::eval_scalar(float x) const {
   if (entries_ == 0) return x;
-  const std::size_t nb = breakpoints_.size();
-  std::uint32_t k = 0;
-  if (nb != 0) {
-    if (linear_scan_) {
-      for (std::size_t j = 0; j < nb; ++j)
-        k += static_cast<std::uint32_t>(!(x < breakpoints_[j]));
-    } else {
-      k = bisect_index(breakpoints_.data(), nb, x);
-    }
-  }
+  std::uint32_t k;
+  fill_indices(breakpoints_.data(), breakpoints_.size(), &x, 1, &k);
   return slopes_[k] * x + intercepts_[k];
 }
 
@@ -92,7 +79,6 @@ LutKernelFp16::LutKernelFp16(std::span<const float> breakpoints,
   intercepts_.reserve(padded);
   for (float v : intercepts) intercepts_.push_back(round_to_half(v));
   intercepts_.resize(padded, intercepts_.back());
-  linear_scan_ = padded <= kLinearScanMax;
 }
 
 void LutKernelFp16::eval(std::span<float> xs) const {
@@ -102,23 +88,15 @@ void LutKernelFp16::eval(std::span<float> xs) const {
   // vcvtps2ph round-trips on the wide tiers, numerics/half.h when scalar —
   // bit-identical either way).
   simd::active_simd_ops().fp16_eval(breakpoints_.data(), breakpoints_.size(),
-                                    linear_scan_, slopes_.data(),
-                                    intercepts_.data(), xs.data(), xs.size());
+                                    slopes_.data(), intercepts_.data(),
+                                    xs.data(), xs.size());
 }
 
 float LutKernelFp16::eval_scalar(float x) const {
   if (entries_ == 0) return x;
   const float xh = round_to_half(x);
-  const std::size_t nb = breakpoints_.size();
-  std::uint32_t k = 0;
-  if (nb != 0) {
-    if (linear_scan_) {
-      for (std::size_t j = 0; j < nb; ++j)
-        k += static_cast<std::uint32_t>(!(xh < breakpoints_[j]));
-    } else {
-      k = bisect_index(breakpoints_.data(), nb, xh);
-    }
-  }
+  std::uint32_t k;
+  fill_indices(breakpoints_.data(), breakpoints_.size(), &xh, 1, &k);
   return half_mac(slopes_[k], xh, intercepts_[k]);
 }
 
@@ -151,13 +129,12 @@ LutKernelInt32::LutKernelInt32(std::span<const float> breakpoints,
   intercepts_.reserve(padded);
   for (float v : intercepts) intercepts_.push_back(int_quantize(v, st));
   intercepts_.resize(padded, intercepts_.back());
-  linear_scan_ = padded <= kLinearScanMax;
 }
 
 void LutKernelInt32::eval(std::span<float> xs) const {
   if (entries_ == 0 || xs.empty()) return;
   simd::active_simd_ops().int32_eval(breakpoints_.data(), breakpoints_.size(),
-                                     linear_scan_, slopes_.data(),
+                                     slopes_.data(),
                                      intercepts_.data(), sx_, ss_ * sx_,
                                      xs.data(), xs.size());
 }
@@ -165,16 +142,8 @@ void LutKernelInt32::eval(std::span<float> xs) const {
 float LutKernelInt32::eval_scalar(float x) const {
   if (entries_ == 0) return x;
   const std::int32_t qx = int_quantize(x, sx_);
-  const std::size_t nb = breakpoints_.size();
-  std::uint32_t k = 0;
-  if (nb != 0) {
-    if (linear_scan_) {
-      for (std::size_t j = 0; j < nb; ++j)
-        k += static_cast<std::uint32_t>(!(qx < breakpoints_[j]));
-    } else {
-      k = bisect_index(breakpoints_.data(), nb, qx);
-    }
-  }
+  std::uint32_t k;
+  fill_indices(breakpoints_.data(), breakpoints_.size(), &qx, 1, &k);
   const std::int64_t acc = static_cast<std::int64_t>(slopes_[k]) * qx +
                            static_cast<std::int64_t>(intercepts_[k]);
   return static_cast<float>(acc) * (ss_ * sx_);

@@ -4,15 +4,12 @@
 // slope / intercept arrays padded to a power-of-two entry count (padding
 // breakpoints are +inf / INT32_MAX sentinels and padded segments replicate
 // the last real segment, so padded lookups return the same value as the real
-// last segment). Evaluation is batch-granular and branchless:
-//
-//   - <= 32 padded entries: a linear comparator-bank scan, structured
-//     breakpoint-outer / element-inner so the compiler vectorizes the
-//     compare-and-accumulate over contiguous elements. This mirrors the
-//     paper's hardware (Eq. 4): an N-entry unit is a parallel comparator
-//     bank feeding one MAC.
-//   - larger tables: branchless uniform bisection over the 2^k - 1 padded
-//     breakpoints (k conditional-add steps, no data-dependent branches).
+// last segment). Evaluation is batch-granular and branchless: every table
+// size selects its segment with one comparator-bank scan, structured
+// breakpoint-outer / element-inner so the compiler vectorizes the
+// compare-and-accumulate over contiguous elements. This mirrors the paper's
+// hardware (Eq. 4): an N-entry unit is a parallel comparator bank feeding
+// one MAC, and Sec. 4.1 finds 16 entries enough.
 //
 // Segment selection reproduces std::upper_bound semantics exactly, including
 // for NaN (every comparison `!(x < d)` is true, so NaN lands in the padded
@@ -20,14 +17,12 @@
 // evaluation is bit-identical to the per-element reference path.
 //
 // FP32, FP16 and INT32 plan evaluation all dispatch through the
-// runtime-selected SIMD tier (core/lut_kernel_simd.h): scalar, AVX2 (with
-// F16C for the FP16 rounding chain when the CPU has it), AVX-512, or
-// AVX-512+VNNI, chosen once from CPUID and overridable via
-// NNLUT_FORCE_SCALAR / NNLUT_SIMD_TIER / set_simd_tier. Every tier performs
-// the identical IEEE operation sequence, so results are bit-identical
-// across tiers; plan arrays are allocated on 64-byte boundaries
-// (core/aligned_alloc.h) so a padded comparator bank is loaded with aligned
-// full-register table loads.
+// runtime-selected SIMD tier (core/lut_kernel_simd.h): scalar, AVX2+F16C,
+// AVX-512, or AVX-512+VNNI, chosen once from CPUID and overridable via
+// NNLUT_SIMD_TIER / set_simd_tier. Every tier performs the identical IEEE
+// operation sequence, so results are bit-identical across tiers; plan
+// arrays are allocated on 64-byte boundaries (core/aligned_alloc.h) so a
+// padded comparator bank is loaded with aligned full-register table loads.
 //
 // Three precision-specialized plans live here:
 //   LutKernel       FP32 multiply-add,
@@ -64,7 +59,6 @@ class LutKernel {
   std::size_t entries() const { return entries_; }
   /// Power-of-two padded entry count (= slopes().size()).
   std::size_t padded_entries() const { return slopes_.size(); }
-  bool linear_scan() const { return linear_scan_; }
 
   /// Batched evaluation, in place. The primitive everything else derives.
   void eval(std::span<float> xs) const;
@@ -81,7 +75,6 @@ class LutKernel {
   PlanVec<float> slopes_;       // padded_entries, last segment replicated
   PlanVec<float> intercepts_;   // padded_entries
   std::size_t entries_ = 0;
-  bool linear_scan_ = true;
 };
 
 /// Binary16 plan: stored constants are half-rounded and the MAC rounds every
@@ -95,7 +88,6 @@ class LutKernelFp16 {
 
   std::size_t entries() const { return entries_; }
   std::size_t padded_entries() const { return slopes_.size(); }
-  bool linear_scan() const { return linear_scan_; }
 
   void eval(std::span<float> xs) const;
   float eval_scalar(float x) const;
@@ -111,7 +103,6 @@ class LutKernelFp16 {
   PlanVec<float> slopes_;      // FP32 values of half-rounded slopes
   PlanVec<float> intercepts_;  // FP32 values of half-rounded intercepts
   std::size_t entries_ = 0;
-  bool linear_scan_ = true;
 };
 
 /// Integer plan with I-BERT scaling factors: input scale Sx derived from
@@ -128,7 +119,6 @@ class LutKernelInt32 {
 
   std::size_t entries() const { return entries_; }
   std::size_t padded_entries() const { return slopes_.size(); }
-  bool linear_scan() const { return linear_scan_; }
 
   void eval(std::span<float> xs) const;
   float eval_scalar(float x) const;
@@ -149,7 +139,6 @@ class LutKernelInt32 {
   PlanVec<std::int32_t> slopes_;
   PlanVec<std::int32_t> intercepts_;
   std::size_t entries_ = 0;
-  bool linear_scan_ = true;
   float sx_ = 1.0f;  // input scale
   float ss_ = 1.0f;  // slope scale
 };

@@ -1,13 +1,11 @@
-// Dispatch TU: resolves the ISA tier once (CPUID + environment caps) and
+// Dispatch TU: resolves the ISA tier once (CPUID + environment cap) and
 // installs the matching kernel table behind an atomic pointer. The wide
 // tiers live in their own translation units (lut_kernel_simd_avx2.cpp,
-// lut_kernel_simd_f16c.cpp, lut_kernel_simd_avx512.cpp,
-// lut_kernel_simd_vnni.cpp) compiled with the matching -m flags; this file
-// is compiled with the portable baseline so it can run anywhere. Tier
-// tables are assembled here from the per-TU entry points: the avx2 tier's
-// FP16 slot picks the F16C kernel only when CPUID reports f16c, and the
-// avx512vnni tier shares the avx512 FP32/FP16 kernels, differing only in
-// the INT32 slot.
+// lut_kernel_simd_avx512.cpp, lut_kernel_simd_vnni.cpp) compiled with the
+// matching -m flags; this file is compiled with the portable baseline so it
+// can run anywhere. Tier tables are assembled here from the per-TU entry
+// points: the avx512vnni tier shares the avx512 FP32/FP16 kernels,
+// differing only in the INT32 slot.
 #include "core/lut_kernel_simd.h"
 
 #include <atomic>
@@ -22,47 +20,44 @@ namespace nnlut::simd {
 
 // Per-tier kernel entry points, each defined in its own -m flagged TU.
 #ifdef NNLUT_HAVE_AVX2
-void avx2_fp32_eval(const float*, std::size_t, bool, const float*,
-                    const float*, float*, std::size_t);
-void avx2_int32_eval(const std::int32_t*, std::size_t, bool,
-                     const std::int32_t*, const std::int32_t*, float, float,
-                     float*, std::size_t);
-#endif
-#ifdef NNLUT_HAVE_F16C
-void f16c_fp16_eval(const float*, std::size_t, bool, const float*,
-                    const float*, float*, std::size_t);
+void avx2_fp32_eval(const float*, std::size_t, const float*, const float*,
+                    float*, std::size_t);
+void avx2_fp16_eval(const float*, std::size_t, const float*, const float*,
+                    float*, std::size_t);
+void avx2_int32_eval(const std::int32_t*, std::size_t, const std::int32_t*,
+                     const std::int32_t*, float, float, float*, std::size_t);
 #endif
 #ifdef NNLUT_HAVE_AVX512
-void avx512_fp32_eval(const float*, std::size_t, bool, const float*,
-                      const float*, float*, std::size_t);
-void avx512_fp16_eval(const float*, std::size_t, bool, const float*,
-                      const float*, float*, std::size_t);
-void avx512_int32_eval(const std::int32_t*, std::size_t, bool,
-                       const std::int32_t*, const std::int32_t*, float, float,
-                       float*, std::size_t);
+void avx512_fp32_eval(const float*, std::size_t, const float*, const float*,
+                      float*, std::size_t);
+void avx512_fp16_eval(const float*, std::size_t, const float*, const float*,
+                      float*, std::size_t);
+void avx512_int32_eval(const std::int32_t*, std::size_t, const std::int32_t*,
+                       const std::int32_t*, float, float, float*,
+                       std::size_t);
 #endif
 #ifdef NNLUT_HAVE_AVX512VNNI
-void avx512vnni_int32_eval(const std::int32_t*, std::size_t, bool,
+void avx512vnni_int32_eval(const std::int32_t*, std::size_t,
                            const std::int32_t*, const std::int32_t*, float,
                            float, float*, std::size_t);
 #endif
 
 namespace {
 
-void scalar_fp32(const float* bp, std::size_t nb, bool linear, const float* s,
+void scalar_fp32(const float* bp, std::size_t nb, const float* s,
                  const float* t, float* xs, std::size_t n) {
-  detail::scalar_fp32_eval(bp, nb, linear, s, t, xs, n);
+  detail::scalar_fp32_eval(bp, nb, s, t, xs, n);
 }
 
-void scalar_fp16(const float* bp, std::size_t nb, bool linear, const float* s,
+void scalar_fp16(const float* bp, std::size_t nb, const float* s,
                  const float* t, float* xs, std::size_t n) {
-  detail::scalar_fp16_eval(bp, nb, linear, s, t, xs, n);
+  detail::scalar_fp16_eval(bp, nb, s, t, xs, n);
 }
 
-void scalar_int32(const std::int32_t* bp, std::size_t nb, bool linear,
+void scalar_int32(const std::int32_t* bp, std::size_t nb,
                   const std::int32_t* s, const std::int32_t* t, float sx,
                   float so, float* xs, std::size_t n) {
-  detail::scalar_int32_eval(bp, nb, linear, s, t, sx, so, xs, n);
+  detail::scalar_int32_eval(bp, nb, s, t, sx, so, xs, n);
 }
 
 constexpr SimdKernelOps kScalarOps{SimdTier::kScalar, &scalar_fp32,
@@ -88,13 +83,8 @@ const SimdKernelOps& ops_for(SimdTier tier) {
 #endif
 #ifdef NNLUT_HAVE_AVX2
     case SimdTier::kAvx2: {
-      // FP16 runs wide on this tier only with the f16c conversion
-      // instructions (a separate CPUID bit from avx2); without them the
-      // FP16 slot stays scalar while FP32/INT32 run wide.
-      static const SimdKernelOps ops{SimdTier::kAvx2, &avx2_fp32_eval,
-                                     has_f16c() ? &f16c_fp16_eval
-                                                : &scalar_fp16,
-                                     &avx2_int32_eval};
+      static constexpr SimdKernelOps ops{SimdTier::kAvx2, &avx2_fp32_eval,
+                                         &avx2_fp16_eval, &avx2_int32_eval};
       return ops;
     }
 #endif
@@ -137,15 +127,6 @@ std::optional<SimdTier> parse_simd_tier(std::string_view name) {
   return std::nullopt;
 }
 
-bool has_f16c() {
-#ifdef NNLUT_HAVE_F16C
-  static const bool have = __builtin_cpu_supports("f16c") != 0;
-  return have;
-#else
-  return false;
-#endif
-}
-
 bool has_avx512vnni() {
 #ifdef NNLUT_HAVE_AVX512VNNI
   static const bool have = __builtin_cpu_supports("avx512f") != 0 &&
@@ -167,18 +148,15 @@ SimdTier detected_simd_tier() {
     if (__builtin_cpu_supports("avx512f")) return SimdTier::kAvx512;
 #endif
 #ifdef NNLUT_HAVE_AVX2
-    if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c"))
+      return SimdTier::kAvx2;
 #endif
     return SimdTier::kScalar;
   }();
   return tier;
 }
 
-SimdTier env_capped_tier(const char* force_scalar, const char* tier_name,
-                         SimdTier detected) {
-  if (force_scalar != nullptr && *force_scalar != '\0' &&
-      std::string_view(force_scalar) != "0")
-    return SimdTier::kScalar;
+SimdTier env_capped_tier(const char* tier_name, SimdTier detected) {
   if (tier_name != nullptr) {
     if (const auto cap = parse_simd_tier(tier_name))
       return std::min(*cap, detected);
@@ -193,15 +171,13 @@ SimdTier auto_simd_tier() {
   // here — dispatch must not change behind a running server's back because
   // the wall clock crossed a getenv call.
   static const SimdTier tier = [] {
-    const char* force_scalar = std::getenv("NNLUT_FORCE_SCALAR");
     const char* tier_name = std::getenv("NNLUT_SIMD_TIER");
     const SimdTier detected = detected_simd_tier();
-    const SimdTier capped =
-        env_capped_tier(force_scalar, tier_name, detected);
+    const SimdTier capped = env_capped_tier(tier_name, detected);
     // The cap itself stays pure and silent (env_capped_tier is unit-tested
     // as a function); the once-per-process resolution is where a surprising
     // request gets a diagnostic naming what this machine can actually run.
-    if (tier_name != nullptr && capped != SimdTier::kScalar) {
+    if (tier_name != nullptr) {
       const auto requested = parse_simd_tier(tier_name);
       if (!requested) {
         std::fprintf(stderr,

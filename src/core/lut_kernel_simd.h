@@ -5,16 +5,18 @@
 // vector lane set: one AVX2/AVX-512 register holds 8/16 activations, every
 // breakpoint is compared against all of them at once, and the selected
 // (slope, intercept) pairs are fetched with a register permute (banks that
-// fit one register) or a hardware gather (larger tables / bisection).
+// fit one register, or a register pair on AVX-512) or a hardware gather
+// (larger tables). The scan is the only segment-selection algorithm: it
+// handles any table size, and its cost grows with the entry count, as the
+// hardware bank's area does.
 //
 // Dispatch model:
 //   - the ISA tier is resolved ONCE at first use from CPUID
-//     (__builtin_cpu_supports) — scalar < AVX2 < AVX-512F < AVX-512F+VNNI —
-//     and installed behind an atomic pointer that LutKernel::eval reads per
-//     call;
-//   - `NNLUT_FORCE_SCALAR` (any value except "" / "0") caps the automatic
-//     choice at scalar; `NNLUT_SIMD_TIER=scalar|avx2|avx512|avx512vnni`
-//     caps it at a named tier. Both only *lower* the tier — they can never
+//     (__builtin_cpu_supports) — scalar < AVX2+F16C < AVX-512F <
+//     AVX-512F+VNNI — and installed behind an atomic pointer that
+//     LutKernel::eval reads per call;
+//   - `NNLUT_SIMD_TIER=scalar|avx2|avx512|avx512vnni` caps the automatic
+//     choice at a named tier. It only *lowers* the tier — it can never
 //     select an ISA the CPU does not have;
 //   - `set_simd_tier` is the programmatic override (tests, RuntimeConfig):
 //     forcing a tier above the detected one throws (the message names the
@@ -32,9 +34,8 @@
 // vcvtps2ph/vcvtph2ps round-trips (F16C on the AVX2 tier, native 512-bit
 // forms on AVX-512F), which numerics/half.h reproduces bit-for-bit
 // including NaN payloads and denormals — so the emulated FP16 datapath is
-// ISA-invariant like the other precisions. On AVX2 CPUs without F16C the
-// FP16 slot falls back to the shared scalar block while FP32/INT32 stay
-// wide.
+// ISA-invariant like the other precisions. Every AVX2 CPU ships F16C, and
+// the avx2 tier requires both CPUID bits.
 //
 // The avx512vnni tier differs from avx512 only in the INT32 MAC: when a
 // compiled table provably fits the int16-pair contract, q_s*q_x + q_t runs
@@ -82,7 +83,7 @@ SimdTier detected_simd_tier();
 std::vector<SimdTier> available_simd_tiers();
 
 /// The tier automatic dispatch resolves to: detected, capped by the
-/// NNLUT_FORCE_SCALAR / NNLUT_SIMD_TIER environment (read once).
+/// NNLUT_SIMD_TIER environment variable (read once).
 SimdTier auto_simd_tier();
 
 /// Tier of the currently installed kernel table.
@@ -94,36 +95,27 @@ SimdTier active_simd_tier();
 /// Thread-safe; kernels already executing finish on the table they loaded.
 void set_simd_tier(std::optional<SimdTier> tier);
 
-/// True when this build carries the F16C FP16 kernels and the CPU has the
-/// f16c conversion instructions: the AVX2 tier's FP16 slot is wide. The
-/// AVX-512 tiers always run FP16 wide (512-bit vcvtps2ph is AVX-512F).
-bool has_f16c();
-
 /// True when this build carries the VNNI INT32 MAC and the CPU reports
 /// avx512vnni — i.e. the avx512vnni tier is detectable here.
 bool has_avx512vnni();
 
 /// Pure form of the environment policy, exposed for tests: the tier cap
-/// implied by (NNLUT_FORCE_SCALAR, NNLUT_SIMD_TIER) values, clamped to
-/// `detected`. nullptr means the variable is unset.
-SimdTier env_capped_tier(const char* force_scalar, const char* tier_name,
-                         SimdTier detected);
+/// implied by an NNLUT_SIMD_TIER value, clamped to `detected`. nullptr
+/// means the variable is unset; an unknown name leaves `detected`.
+SimdTier env_capped_tier(const char* tier_name, SimdTier detected);
 
 /// One per-tier kernel table. Every entry point evaluates a whole span in
 /// place through a compiled plan; `nb` is the padded breakpoint count
-/// (padded_entries - 1), `linear_scan` selects comparator-bank scan vs
-/// uniform bisection exactly as the plan compiled it. The FP16 entry takes
-/// the FP32 images of the plan's half-rounded constants (half -> float is
-/// exact) and rounds every intermediate through binary16.
+/// (padded_entries - 1). The FP16 entry takes the FP32 images of the plan's
+/// half-rounded constants (half -> float is exact) and rounds every
+/// intermediate through binary16.
 struct SimdKernelOps {
   SimdTier tier;
-  void (*fp32_eval)(const float* bp, std::size_t nb, bool linear_scan,
-                    const float* slopes, const float* intercepts, float* xs,
-                    std::size_t n);
-  void (*fp16_eval)(const float* bp, std::size_t nb, bool linear_scan,
-                    const float* slopes, const float* intercepts, float* xs,
-                    std::size_t n);
-  void (*int32_eval)(const std::int32_t* bp, std::size_t nb, bool linear_scan,
+  void (*fp32_eval)(const float* bp, std::size_t nb, const float* slopes,
+                    const float* intercepts, float* xs, std::size_t n);
+  void (*fp16_eval)(const float* bp, std::size_t nb, const float* slopes,
+                    const float* intercepts, float* xs, std::size_t n);
+  void (*int32_eval)(const std::int32_t* bp, std::size_t nb,
                      const std::int32_t* slopes,
                      const std::int32_t* intercepts, float input_scale,
                      float output_scale, float* xs, std::size_t n);

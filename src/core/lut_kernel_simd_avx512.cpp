@@ -54,9 +54,8 @@ inline __m512 load16_half(const float* q) {
 
 }  // namespace
 
-void avx512_fp32_eval(const float* bp, std::size_t nb, bool linear,
-                      const float* s, const float* t, float* p,
-                      std::size_t n) {
+void avx512_fp32_eval(const float* bp, std::size_t nb, const float* s,
+                      const float* t, float* p, std::size_t n) {
   std::size_t i = 0;
   if (nb == 0) {
     const __m512 vs = _mm512_set1_ps(s[0]);
@@ -76,8 +75,8 @@ void avx512_fp32_eval(const float* bp, std::size_t nb, bool linear,
       _mm512_storeu_ps(q, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
     });
   } else if (nb + 1 == 32) {
-    // The whole linear-scan class stays in registers: a vpermt2ps across a
-    // register pair covers padded banks of exactly 32 entries.
+    // A vpermt2ps across a register pair covers padded banks of exactly 32
+    // entries.
     const __m512 vs_lo = _mm512_loadu_ps(s);
     const __m512 vs_hi = _mm512_loadu_ps(s + 16);
     const __m512 vt_lo = _mm512_loadu_ps(t);
@@ -88,29 +87,19 @@ void avx512_fp32_eval(const float* bp, std::size_t nb, bool linear,
       const __m512 tt = _mm512_permutex2var_ps(vt_lo, idx, vt_hi);
       _mm512_storeu_ps(q, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
     });
-  } else if (linear) {
+  } else {
     i = a5::scan_loop16(p, n, bp, nb, load16, [&](float* q, __m512 x,
                                                   __m512i idx) {
       const __m512 ss = _mm512_i32gather_ps(idx, s, 4);
       const __m512 tt = _mm512_i32gather_ps(idx, t, 4);
       _mm512_storeu_ps(q, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
     });
-  } else {
-    const a5::ResidentTreePs rt = a5::load_resident_tree_ps(bp, nb);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(p + i);
-      const __m512i idx = a5::fp32_bisect16(x, bp, nb, rt);
-      const __m512 ss = _mm512_i32gather_ps(idx, s, 4);
-      const __m512 tt = _mm512_i32gather_ps(idx, t, 4);
-      _mm512_storeu_ps(p + i, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
-    }
   }
-  if (i < n) detail::scalar_fp32_eval(bp, nb, linear, s, t, p + i, n - i);
+  if (i < n) detail::scalar_fp32_eval(bp, nb, s, t, p + i, n - i);
 }
 
-void avx512_fp16_eval(const float* bp, std::size_t nb, bool linear,
-                      const float* s, const float* t, float* p,
-                      std::size_t n) {
+void avx512_fp16_eval(const float* bp, std::size_t nb, const float* s,
+                      const float* t, float* p, std::size_t n) {
   std::size_t i = 0;
   if (nb == 0) {
     const __m512 vs = _mm512_set1_ps(s[0]);
@@ -140,30 +129,21 @@ void avx512_fp16_eval(const float* bp, std::size_t nb, bool linear,
       const __m512 tt = _mm512_permutex2var_ps(vt_lo, idx, vt_hi);
       _mm512_storeu_ps(q, half_mac16(ss, xh, tt));
     });
-  } else if (linear) {
+  } else {
     i = a5::scan_loop16(p, n, bp, nb, load16_half, [&](float* q, __m512 xh,
                                                        __m512i idx) {
       const __m512 ss = _mm512_i32gather_ps(idx, s, 4);
       const __m512 tt = _mm512_i32gather_ps(idx, t, 4);
       _mm512_storeu_ps(q, half_mac16(ss, xh, tt));
     });
-  } else {
-    const a5::ResidentTreePs rt = a5::load_resident_tree_ps(bp, nb);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 xh = round16_to_half(_mm512_loadu_ps(p + i));
-      const __m512i idx = a5::fp32_bisect16(xh, bp, nb, rt);
-      const __m512 ss = _mm512_i32gather_ps(idx, s, 4);
-      const __m512 tt = _mm512_i32gather_ps(idx, t, 4);
-      _mm512_storeu_ps(p + i, half_mac16(ss, xh, tt));
-    }
   }
-  if (i < n) detail::scalar_fp16_eval(bp, nb, linear, s, t, p + i, n - i);
+  if (i < n) detail::scalar_fp16_eval(bp, nb, s, t, p + i, n - i);
 }
 
-void avx512_int32_eval(const std::int32_t* bp, std::size_t nb, bool linear,
+void avx512_int32_eval(const std::int32_t* bp, std::size_t nb,
                        const std::int32_t* s, const std::int32_t* t, float sx,
                        float so, float* p, std::size_t n) {
-  a5::int32_eval16(bp, nb, linear, s, t, sx, so, p, n, a5::Int64Mac{});
+  a5::int32_eval16(bp, nb, s, t, sx, so, p, n, a5::Int64Mac{});
 }
 
 }  // namespace nnlut::simd

@@ -8,13 +8,10 @@
 //
 // Comparator results live in mask registers (one k-reg per compare,
 // accumulated with mask_add; the scan loop keeps 4 vectors in flight per
-// breakpoint broadcast), and the whole 32-entry linear-scan class
-// fetches (slope, intercept) with register permutes — vpermps for banks of
-// <= 16 padded entries, vpermt2ps across a register pair for the full 32.
-// Bisection keeps the first (up to) 5 tree levels register-resident: 31
-// heap nodes in a register pair probed by vpermt2ps/vpermt2d, so each lane
-// narrows to a 32-entry window before the first gather; remaining levels
-// gather one probe per step.
+// breakpoint broadcast). Tables of up to 32 padded entries fetch
+// (slope, intercept) with register permutes — vpermps for banks of <= 16
+// padded entries, vpermt2ps across a register pair for exactly 32 — and
+// larger ones gather; the scan itself is the same for every table size.
 //
 // The INT32 evaluation loop is a template over the MAC so the VNNI TU can
 // swap in its vpdpwssd MAC while keeping byte-for-byte the same quantize /
@@ -33,33 +30,6 @@
 #include <immintrin.h>
 
 namespace nnlut::simd::avx512detail {
-
-/// The register-resident top of a bisection tree: heap nodes 1..2^levels-1
-/// (levels <= 5, so up to 31 nodes) spread over a register pair, probed by
-/// a two-source permute on the heap index.
-struct ResidentTreePs {
-  __m512 lo, hi;
-  int levels;
-};
-
-struct ResidentTreeEpi32 {
-  __m512i lo, hi;
-  int levels;
-};
-
-static inline ResidentTreePs load_resident_tree_ps(const float* bp,
-                                                   std::size_t nb) {
-  alignas(64) float a[32] = {};
-  const int levels = detail::fill_bisect_nodes(bp, nb, 5, a);
-  return {_mm512_load_ps(a), _mm512_load_ps(a + 16), levels};
-}
-
-static inline ResidentTreeEpi32 load_resident_tree_epi32(
-    const std::int32_t* bp, std::size_t nb) {
-  alignas(64) std::int32_t a[32] = {};
-  const int levels = detail::fill_bisect_nodes(bp, nb, 5, a);
-  return {_mm512_load_si512(a), _mm512_load_si512(a + 16), levels};
-}
 
 /// Per-lane comparator of the bank: _CMP_NLT_UQ is exactly !(x < d), true
 /// for x >= d and for NaN; on the quantized INT32 grid it is x >= d.
@@ -116,65 +86,6 @@ static inline std::size_t scan_loop16(float* p, std::size_t n, const Bp* bp,
     finish(p + i, x[0], idx[0]);
   }
   return i;
-}
-
-/// Branchless bisection for 16 FP32 lanes: the first rt.levels probes come
-/// from the resident register pair (vpermt2ps on the heap index), the rest
-/// gather. Step for step this visits the same breakpoints as the scalar
-/// bisect_index.
-static inline __m512i fp32_bisect16(__m512 x, const float* bp, std::size_t nb,
-                                    const ResidentTreePs& rt) {
-  const __m512i one = _mm512_set1_epi32(1);
-  __m512i pos = _mm512_setzero_si512();
-  __m512i node = one;  // heap index of the next resident probe
-  std::uint32_t step = static_cast<std::uint32_t>(nb + 1) >> 1;
-  for (int l = 0; l < rt.levels; ++l, step >>= 1) {
-    const __m512 d =
-        _mm512_permutex2var_ps(rt.lo, _mm512_sub_epi32(node, one), rt.hi);
-    const __mmask16 ge = _mm512_cmp_ps_mask(x, d, _CMP_NLT_UQ);
-    const __m512i vstep = _mm512_set1_epi32(static_cast<int>(step));
-    pos = _mm512_mask_add_epi32(pos, ge, pos, vstep);
-    const __m512i node2 = _mm512_add_epi32(node, node);
-    node = _mm512_mask_add_epi32(node2, ge, node2, one);  // 2t + (ge ? 1 : 0)
-  }
-  for (; step != 0; step >>= 1) {
-    const __m512i vstep = _mm512_set1_epi32(static_cast<int>(step));
-    const __m512i probe =
-        _mm512_add_epi32(pos, _mm512_set1_epi32(static_cast<int>(step) - 1));
-    const __m512 d = _mm512_i32gather_ps(probe, bp, 4);
-    const __mmask16 ge = _mm512_cmp_ps_mask(x, d, _CMP_NLT_UQ);
-    pos = _mm512_mask_add_epi32(pos, ge, pos, vstep);
-  }
-  return pos;
-}
-
-/// Branchless bisection for 16 quantized INT32 lanes, resident top levels
-/// then gathers, mirroring fp32_bisect16.
-static inline __m512i int32_bisect16(__m512i qx, const std::int32_t* bp,
-                                     std::size_t nb,
-                                     const ResidentTreeEpi32& rt) {
-  const __m512i one = _mm512_set1_epi32(1);
-  __m512i pos = _mm512_setzero_si512();
-  __m512i node = one;
-  std::uint32_t step = static_cast<std::uint32_t>(nb + 1) >> 1;
-  for (int l = 0; l < rt.levels; ++l, step >>= 1) {
-    const __m512i d =
-        _mm512_permutex2var_epi32(rt.lo, _mm512_sub_epi32(node, one), rt.hi);
-    const __mmask16 ge = _mm512_cmp_epi32_mask(qx, d, _MM_CMPINT_NLT);
-    const __m512i vstep = _mm512_set1_epi32(static_cast<int>(step));
-    pos = _mm512_mask_add_epi32(pos, ge, pos, vstep);
-    const __m512i node2 = _mm512_add_epi32(node, node);
-    node = _mm512_mask_add_epi32(node2, ge, node2, one);
-  }
-  for (; step != 0; step >>= 1) {
-    const __m512i vstep = _mm512_set1_epi32(static_cast<int>(step));
-    const __m512i probe =
-        _mm512_add_epi32(pos, _mm512_set1_epi32(static_cast<int>(step) - 1));
-    const __m512i d = _mm512_i32gather_epi32(probe, bp, 4);
-    const __mmask16 ge = _mm512_cmp_epi32_mask(qx, d, _MM_CMPINT_NLT);
-    pos = _mm512_mask_add_epi32(pos, ge, pos, vstep);
-  }
-  return pos;
 }
 
 /// detail::int_quantize on 16 lanes, step for step (see the AVX2 twin for
@@ -237,9 +148,9 @@ struct Int64Mac {
 /// where the VNNI contract proves they do not.
 template <typename MacFn>
 static inline void int32_eval16(const std::int32_t* bp, std::size_t nb,
-                                bool linear, const std::int32_t* s,
-                                const std::int32_t* t, float sx, float so,
-                                float* p, std::size_t n, MacFn mac) {
+                                const std::int32_t* s, const std::int32_t* t,
+                                float sx, float so, float* p, std::size_t n,
+                                MacFn mac) {
   const __m512 vsx = _mm512_set1_ps(sx);
   const __m512 vso = _mm512_set1_ps(so);
   const auto quantized = [vsx](const float* q) {
@@ -267,7 +178,7 @@ static inline void int32_eval16(const std::int32_t* bp, std::size_t nb,
           const __m512i qt = _mm512_permutex2var_epi32(vt_lo, idx, vt_hi);
           _mm512_storeu_ps(q, mac(qs, qx, qt, vso));
         });
-  } else if (nb == 0 || linear) {
+  } else {
     // With nb == 0 the scan compares nothing and every index is 0.
     i = scan_loop16(p, n, bp, nb, quantized,
                     [&](float* q, __m512i qx, __m512i idx) {
@@ -275,19 +186,8 @@ static inline void int32_eval16(const std::int32_t* bp, std::size_t nb,
                       const __m512i qt = _mm512_i32gather_epi32(idx, t, 4);
                       _mm512_storeu_ps(q, mac(qs, qx, qt, vso));
                     });
-  } else {
-    const ResidentTreeEpi32 rt = load_resident_tree_epi32(bp, nb);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(p + i);
-      const __m512i qx = int_quantize16(x, vsx);
-      const __m512i idx = int32_bisect16(qx, bp, nb, rt);
-      const __m512i qs = _mm512_i32gather_epi32(idx, s, 4);
-      const __m512i qt = _mm512_i32gather_epi32(idx, t, 4);
-      _mm512_storeu_ps(p + i, mac(qs, qx, qt, vso));
-    }
   }
-  if (i < n)
-    detail::scalar_int32_eval(bp, nb, linear, s, t, sx, so, p + i, n - i);
+  if (i < n) detail::scalar_int32_eval(bp, nb, s, t, sx, so, p + i, n - i);
 }
 
 }  // namespace nnlut::simd::avx512detail

@@ -38,60 +38,22 @@ inline constexpr float kIntQClamp = 2.147e9f;
   return static_cast<std::int32_t>(std::clamp(q, -kIntQClamp, kIntQClamp));
 }
 
-/// Branchless segment index: the number of breakpoints d with !(x < d),
-/// which equals std::upper_bound(..) - begin for every input including NaN
-/// (all comparisons true -> padded tail, which replicates the last segment).
-/// Requires nb + 1 to be a power of two.
+/// Comparator-bank segment index for m elements: idx[i] counts the
+/// breakpoints d with !(x < d), which equals std::upper_bound(..) - begin
+/// for every input including NaN (all comparisons true -> padded tail,
+/// which replicates the last segment). Breakpoint-outer / element-inner:
+/// the inner loop is a contiguous compare-and-accumulate the vectorizer
+/// handles; this is the software shape of the hardware's parallel
+/// comparator bank (Eq. 4).
 template <typename T, typename X>
-static inline std::uint32_t bisect_index(const T* bp, std::size_t nb, X x) {
-  std::uint32_t pos = 0;
-  for (std::uint32_t step = static_cast<std::uint32_t>(nb + 1) >> 1; step != 0;
-       step >>= 1) {
-    if (!(x < bp[pos + step - 1])) pos += step;
+static inline void fill_indices(const T* bp, std::size_t nb, const X* xs,
+                                std::size_t m, std::uint32_t* idx) {
+  for (std::size_t i = 0; i < m; ++i) idx[i] = 0;
+  for (std::size_t j = 0; j < nb; ++j) {
+    const T b = bp[j];
+    for (std::size_t i = 0; i < m; ++i)
+      idx[i] += static_cast<std::uint32_t>(!(xs[i] < b));
   }
-  return pos;
-}
-
-template <typename T, typename X>
-static inline void fill_indices(const T* bp, std::size_t nb, bool linear,
-                                const X* xs, std::size_t m,
-                                std::uint32_t* idx) {
-  if (linear) {
-    for (std::size_t i = 0; i < m; ++i) idx[i] = 0;
-    // Breakpoint-outer / element-inner: the inner loop is a contiguous
-    // compare-and-accumulate the vectorizer handles; this is the software
-    // shape of the hardware's parallel comparator bank.
-    for (std::size_t j = 0; j < nb; ++j) {
-      const T b = bp[j];
-      for (std::size_t i = 0; i < m; ++i)
-        idx[i] += static_cast<std::uint32_t>(!(xs[i] < b));
-    }
-  } else {
-    for (std::size_t i = 0; i < m; ++i) idx[i] = bisect_index(bp, nb, xs[i]);
-  }
-}
-
-/// Breakpoints of the first `max_levels` bisection-tree levels in
-/// binary-heap order (slot t-1 holds heap node t): the register-resident
-/// window the wide tiers probe with vpermps/vpermt2ps before the first
-/// gather. Walking level l (1-based) from heap node t, the probed
-/// breakpoint is bp[(2u+1)*step - 1] with u = t - 2^(l-1) and
-/// step = (nb+1) >> l — the same sequence the scalar bisect_index visits.
-/// Returns the number of levels filled (min of max_levels and the tree
-/// depth); `out` slots past 2^levels - 1 are left untouched.
-template <typename T>
-static inline int fill_bisect_nodes(const T* bp, std::size_t nb,
-                                    int max_levels, T* out) {
-  int depth = 0;
-  for (std::size_t p = nb + 1; p > 1; p >>= 1) ++depth;
-  const int levels = depth < max_levels ? depth : max_levels;
-  std::size_t t = 1;
-  for (int l = 1; l <= levels; ++l) {
-    const std::size_t step = (nb + 1) >> l;
-    for (std::size_t u = 0; u < (std::size_t{1} << (l - 1)); ++u, ++t)
-      out[t - 1] = bp[(2 * u + 1) * step - 1];
-  }
-  return levels;
 }
 
 /// FP16 MAC: every intermediate rounds through binary16. Operands must
@@ -120,7 +82,7 @@ static inline int fill_bisect_nodes(const T* bp, std::size_t nb,
 /// a mul+add MAC per element. This IS the portable tier; the wide tiers
 /// call it on tails shorter than one vector.
 [[maybe_unused]] static inline void scalar_fp32_eval(
-    const float* bp, std::size_t nb, bool linear, const float* s,
+    const float* bp, std::size_t nb, const float* s,
     const float* t, float* p, std::size_t n) {
   if (nb == 0) {
     const float s0 = s[0], t0 = t[0];
@@ -130,7 +92,7 @@ static inline int fill_bisect_nodes(const T* bp, std::size_t nb,
   std::uint32_t idx[kBlock];
   while (n != 0) {
     const std::size_t m = std::min(n, kBlock);
-    fill_indices(bp, nb, linear, p, m, idx);
+    fill_indices(bp, nb, p, m, idx);
     for (std::size_t i = 0; i < m; ++i) p[i] = s[idx[i]] * p[i] + t[idx[i]];
     p += m;
     n -= m;
@@ -143,7 +105,7 @@ static inline int fill_bisect_nodes(const T* bp, std::size_t nb,
 /// round-trips (bit-identical — numerics/half.h matches the hardware
 /// conversions exactly, NaN payloads included) and call this on tails.
 [[maybe_unused]] static inline void scalar_fp16_eval(
-    const float* bp, std::size_t nb, bool linear, const float* s,
+    const float* bp, std::size_t nb, const float* s,
     const float* t, float* p, std::size_t n) {
   float xh[kBlock];
   std::uint32_t idx[kBlock];
@@ -153,7 +115,7 @@ static inline int fill_bisect_nodes(const T* bp, std::size_t nb,
     if (nb == 0) {
       for (std::size_t i = 0; i < m; ++i) p[i] = half_mac(s[0], xh[i], t[0]);
     } else {
-      fill_indices(bp, nb, linear, xh, m, idx);
+      fill_indices(bp, nb, xh, m, idx);
       for (std::size_t i = 0; i < m; ++i)
         p[i] = half_mac(s[idx[i]], xh[i], t[idx[i]]);
     }
@@ -165,18 +127,14 @@ static inline int fill_bisect_nodes(const T* bp, std::size_t nb,
 /// INT32 plan evaluation, scalar reference shape: quantize, index, integer
 /// MAC, dequantize.
 [[maybe_unused]] static inline void scalar_int32_eval(
-    const std::int32_t* bp, std::size_t nb, bool linear, const std::int32_t* s,
+    const std::int32_t* bp, std::size_t nb, const std::int32_t* s,
     const std::int32_t* t, float sx, float so, float* p, std::size_t n) {
   std::int32_t qx[kBlock];
   std::uint32_t idx[kBlock];
   while (n != 0) {
     const std::size_t m = std::min(n, kBlock);
     for (std::size_t i = 0; i < m; ++i) qx[i] = int_quantize(p[i], sx);
-    if (nb == 0) {
-      for (std::size_t i = 0; i < m; ++i) idx[i] = 0;
-    } else {
-      fill_indices(bp, nb, linear, qx, m, idx);
-    }
+    fill_indices(bp, nb, qx, m, idx);
     for (std::size_t i = 0; i < m; ++i) {
       // Integer MAC. |q_s| <= 2^15 keeps the product in int64 for any
       // clamped q_x; int64 keeps the C++ arithmetic well-defined after the

@@ -22,9 +22,9 @@
 // avx512 tier and to forced scalar on every input; the fallback paths are
 // the avx512 tier's own code.
 //
-// Everything but the MAC (quantize, comparator scan, register-resident
-// bisection, permute/gather fetch) is the shared 16-lane template from
-// lut_kernel_simd_avx512_common.h, instantiated in this TU.
+// Everything but the MAC (quantize, comparator scan, permute/gather fetch)
+// is the shared 16-lane template from lut_kernel_simd_avx512_common.h,
+// instantiated in this TU.
 //
 // Compiled with -mavx512f -mavx512vnni only when the toolchain supports
 // both; dispatch requires CPUID avx512f AND avx512vnni before routing here.
@@ -61,13 +61,12 @@ struct VnniMac {
 }  // namespace
 
 void avx512vnni_int32_eval(const std::int32_t* bp, std::size_t nb,
-                           bool linear, const std::int32_t* s,
-                           const std::int32_t* t, float sx, float so,
-                           float* p, std::size_t n) {
+                           const std::int32_t* s, const std::int32_t* t,
+                           float sx, float so, float* p, std::size_t n) {
   if (detail::int32_mac_fits_int16_pairs(s, t, nb + 1)) {
-    a5::int32_eval16(bp, nb, linear, s, t, sx, so, p, n, VnniMac{});
+    a5::int32_eval16(bp, nb, s, t, sx, so, p, n, VnniMac{});
   } else {
-    a5::int32_eval16(bp, nb, linear, s, t, sx, so, p, n, a5::Int64Mac{});
+    a5::int32_eval16(bp, nb, s, t, sx, so, p, n, a5::Int64Mac{});
   }
 }
 

@@ -149,7 +149,8 @@ float LayerNormApprox::inv_std(float v) const {
     // v*S stays within the trained range (0.1, 1024) for v > S^-1; smaller
     // variances saturate at the LUT boundary, which is the intended
     // behaviour of the power-of-two pre-scaler.
-    return rsqrt_fn_->eval(v * opt_.scale) * std::sqrt(opt_.scale);
+    return rsqrt_fn_->eval(v * kLayerNormInputScale) *
+           std::sqrt(kLayerNormInputScale);
   }
   return rsqrt_fn_->eval(v);
 }
@@ -163,7 +164,7 @@ void LayerNormApprox::operator()(std::span<const float> x, std::span<float> y,
 
   float mean = 0.0f, var = 0.0f;
   row_moments<1>(x.data(), n, n, &mean, &var);
-  const float inv = inv_std(var + opt_.eps);
+  const float inv = inv_std(var + kLayerNormEps);
   affine_row(x.data(), y.data(), n, mean, inv, gamma, beta);
 }
 
@@ -201,15 +202,15 @@ void LayerNormApprox::rows_block(const float* x, float* y, std::size_t nrows,
     row_moments<G>(x + r0 * ncols, ncols, ncols, &mean[r0], &vs[r0]);
   });
   for (std::size_t r = 0; r < nrows; ++r) {
-    vs[r] = vs[r] + opt_.eps;
+    vs[r] = vs[r] + kLayerNormEps;
     if (opt_.input_scaling && vs[r] < 1.0f) {
-      vs[r] = vs[r] * opt_.scale;
+      vs[r] = vs[r] * kLayerNormInputScale;
       scaled[r] = 1;
     }
   }
   // One 1/SQRT LUT pass over every (pre-scaled) row variance.
   rsqrt_fn_->eval_inplace(vs);
-  const float root_s = std::sqrt(opt_.scale);
+  const float root_s = std::sqrt(kLayerNormInputScale);
   for (std::size_t r = 0; r < nrows; ++r) {
     const float inv = scaled[r] ? vs[r] * root_s : vs[r];
     affine_row(x + r * ncols, y + r * ncols, ncols, mean[r], inv, gamma, beta);

@@ -65,6 +65,12 @@ class SoftmaxApprox {
   InputRange exp_clip_;
 };
 
+/// Power-of-two input scale S = 2^10 of the LayerNorm 1/SQRT LUT (Sec.
+/// 3.3.2), shared by LayerNormApprox and nn::LutLayerNorm.
+inline constexpr float kLayerNormInputScale = 1024.0f;
+/// Variance epsilon of every LayerNorm replacement: 1/sqrt(var + eps).
+inline constexpr float kLayerNormEps = 1e-5f;
+
 /// LayerNorm replacement. Mean/variance stay exact (they are dot products the
 /// MAC array computes); only 1/sqrt(var + eps) goes through the LUT.
 ///
@@ -75,9 +81,7 @@ class SoftmaxApprox {
 class LayerNormApprox {
  public:
   struct Options {
-    bool input_scaling = true;
-    float scale = 1024.0f;  // S = 2^10
-    float eps = 1e-5f;
+    bool input_scaling = true;  // S = kLayerNormInputScale when v < 1
     // Disable when the rsqrt ScalarFn is stateful (e.g. a CapturingFn whose
     // sink must see rows in order from one thread): rows() then runs the
     // whole block on the calling thread instead of sharding it.

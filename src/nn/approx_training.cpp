@@ -26,26 +26,27 @@ Tensor LutAct::backward(const Tensor& dy) {
 }
 
 LutLayerNorm::LutLayerNorm(std::size_t dim, const PiecewiseLinear* rsqrt_lut,
-                           bool input_scaling, float scale)
+                           bool input_scaling)
     : gamma({dim}),
       beta({dim}),
       rsqrt_(rsqrt_lut),
-      input_scaling_(input_scaling),
-      scale_(scale) {
+      input_scaling_(input_scaling) {
   gamma.value.fill(1.0f);
 }
 
 float LutLayerNorm::inv_std(float v) const {
   if (input_scaling_ && v < 1.0f)
-    return (*rsqrt_)(v * scale_) * std::sqrt(scale_);
+    return (*rsqrt_)(v * kLayerNormInputScale) *
+           std::sqrt(kLayerNormInputScale);
   return (*rsqrt_)(v);
 }
 
 float LutLayerNorm::inv_std_grad(float v) const {
   const auto slopes = rsqrt_->slopes();
   if (input_scaling_ && v < 1.0f) {
-    const float xs = v * scale_;
-    return slopes[rsqrt_->segment_index(xs)] * scale_ * std::sqrt(scale_);
+    const float xs = v * kLayerNormInputScale;
+    return slopes[rsqrt_->segment_index(xs)] * kLayerNormInputScale *
+           std::sqrt(kLayerNormInputScale);
   }
   return slopes[rsqrt_->segment_index(v)];
 }
@@ -73,7 +74,7 @@ Tensor LutLayerNorm::forward(const Tensor& x) {
     }
     var /= static_cast<double>(dim);
 
-    const float v = static_cast<float>(var) + eps;
+    const float v = static_cast<float>(var) + kLayerNormEps;
     const float inv = inv_std(v);
     v_cache_[r] = v;
     r_cache_[r] = inv;

@@ -10,6 +10,7 @@
 // everywhere).
 #pragma once
 
+#include "core/nnlut_ops.h"
 #include "core/piecewise_linear.h"
 #include "nn/layers.h"
 
@@ -42,7 +43,7 @@ class LutLayerNorm {
  public:
   LutLayerNorm() = default;
   LutLayerNorm(std::size_t dim, const PiecewiseLinear* rsqrt_lut,
-               bool input_scaling = true, float scale = 1024.0f);
+               bool input_scaling = true);
 
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& dy);
@@ -56,12 +57,10 @@ class LutLayerNorm {
 
   Param gamma;
   Param beta;
-  float eps = 1e-5f;
 
  private:
   const PiecewiseLinear* rsqrt_ = nullptr;
   bool input_scaling_ = true;
-  float scale_ = 1024.0f;
 
   Tensor u_cache_;               // x - mu per element
   std::vector<float> r_cache_;   // inv_std per row

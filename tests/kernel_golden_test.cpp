@@ -53,7 +53,7 @@ using test::TableSpec;
 
 constexpr std::pair<std::size_t, std::size_t> kShapes[] = {
     {1, 1}, {2, 3}, {7, 16}, {9, 128}, {17, 384}, {64, 768}, {1536, 128}};
-constexpr std::size_t kEntries[] = {8, 16, 64};
+constexpr std::size_t kEntries[] = {8, 16, 64, 128};
 
 /// One block's input: uniform over [-range, range); a quarter of the rows
 /// carry one hostile value at a random position.

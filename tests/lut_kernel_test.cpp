@@ -176,9 +176,10 @@ TEST_P(KernelParity, Int32BatchedMatchesScalarBitwise) {
   }
 }
 
-// Entry counts straddling both plan shapes: comparator-bank linear scan
-// (padded <= 32) and branchless bisection (padded > 32), plus non-powers of
-// two that exercise the padding.
+// Entry counts straddling every fetch shape of the comparator-bank scan:
+// one-register permute (padded <= 8 / 16), the AVX-512 register-pair
+// permute (padded 32) and the gather fetch (padded > 32 on AVX-512, > 8 on
+// AVX2), plus non-powers of two that exercise the padding.
 INSTANTIATE_TEST_SUITE_P(Entries, KernelParity,
                          ::testing::Values(1, 2, 3, 5, 8, 16, 31, 32, 33, 64,
                                            100, 128, 300));
@@ -220,11 +221,12 @@ TEST(LutKernel, PaddingReplicatesLastSegment) {
 }
 
 TEST(LutKernel, PlanShapeSelection) {
+  // Padding is power-of-two: the register-permute fetches rely on it.
   Rng rng(11);
-  EXPECT_TRUE(random_lut(16, rng).kernel().linear_scan());
-  EXPECT_TRUE(random_lut(32, rng).kernel().linear_scan());
-  EXPECT_FALSE(random_lut(33, rng).kernel().linear_scan());
-  EXPECT_FALSE(random_lut(128, rng).kernel().linear_scan());
+  EXPECT_EQ(random_lut(16, rng).kernel().padded_entries(), 16u);
+  EXPECT_EQ(random_lut(32, rng).kernel().padded_entries(), 32u);
+  EXPECT_EQ(random_lut(33, rng).kernel().padded_entries(), 64u);
+  EXPECT_EQ(random_lut(128, rng).kernel().padded_entries(), 128u);
 }
 
 TEST(CapturingFn, RecordsBatchedInputsAndDelegatesBatched) {
@@ -271,10 +273,10 @@ TEST(SimdDispatch, TierNamesRoundTrip) {
 TEST(SimdDispatch, DetectionReport) {
   // Assertion-light on purpose: prints this machine's detection result so
   // CI logs record which tiers the parity suites actually exercised.
-  std::printf("detected=%s auto=%s available=[%s] f16c=%d avx512vnni=%d\n",
+  std::printf("detected=%s auto=%s available=[%s] avx512vnni=%d\n",
               simd::simd_tier_name(simd::detected_simd_tier()),
               simd::simd_tier_name(simd::auto_simd_tier()),
-              simd::simd_tier_names().c_str(), simd::has_f16c() ? 1 : 0,
+              simd::simd_tier_names().c_str(),
               simd::has_avx512vnni() ? 1 : 0);
   // The available list is a chain from scalar up to exactly the detection.
   EXPECT_FALSE(simd::simd_tier_names().empty());
@@ -284,18 +286,17 @@ TEST(SimdDispatch, DetectionReport) {
 
 TEST(SimdDispatch, EnvironmentPolicyOnlyLowersTheTier) {
   const SimdTier det = SimdTier::kAvx512;
-  // NNLUT_FORCE_SCALAR wins over everything except "off" spellings.
-  EXPECT_EQ(simd::env_capped_tier("1", nullptr, det), SimdTier::kScalar);
-  EXPECT_EQ(simd::env_capped_tier("yes", "avx512", det), SimdTier::kScalar);
-  EXPECT_EQ(simd::env_capped_tier("0", nullptr, det), det);
-  EXPECT_EQ(simd::env_capped_tier("", nullptr, det), det);
   // NNLUT_SIMD_TIER caps at the named tier, clamped to detection.
-  EXPECT_EQ(simd::env_capped_tier(nullptr, "avx2", det), SimdTier::kAvx2);
-  EXPECT_EQ(simd::env_capped_tier(nullptr, "scalar", det), SimdTier::kScalar);
-  EXPECT_EQ(simd::env_capped_tier(nullptr, "avx512", SimdTier::kAvx2),
+  EXPECT_EQ(simd::env_capped_tier("avx2", det), SimdTier::kAvx2);
+  EXPECT_EQ(simd::env_capped_tier("scalar", det), SimdTier::kScalar);
+  EXPECT_EQ(simd::env_capped_tier("avx512", SimdTier::kAvx2),
             SimdTier::kAvx2);  // clamp: never above the CPU
-  EXPECT_EQ(simd::env_capped_tier(nullptr, "bogus", det), det);
-  EXPECT_EQ(simd::env_capped_tier(nullptr, nullptr, det), det);
+  EXPECT_EQ(simd::env_capped_tier("avx512vnni", SimdTier::kScalar),
+            SimdTier::kScalar);
+  // Unknown names and an unset variable leave the detected tier.
+  EXPECT_EQ(simd::env_capped_tier("bogus", det), det);
+  EXPECT_EQ(simd::env_capped_tier("", det), det);
+  EXPECT_EQ(simd::env_capped_tier(nullptr, det), det);
 }
 
 TEST(SimdDispatch, ForcingAnUnsupportedTierThrowsAndKeepsState) {
@@ -327,7 +328,7 @@ TEST(SimdDispatch, RuntimeConfigPinsAndRestoresTheTier) {
 }
 
 /// Forced-tier parity: for every available tier, every precision, entry
-/// counts straddling the permute / gather / bisection kernel shapes, inputs
+/// counts straddling the permute and gather fetch shapes, inputs
 /// including exact breakpoints, ±inf and NaN — bits must equal the forced-
 /// scalar reference. This is the ISA-invariance contract.
 class SimdTierParity : public ::testing::TestWithParam<int> {};

@@ -382,7 +382,7 @@ RULE_FIXTURES = {
     "no-unordered-iter": ["no_unordered_iter"],
     "no-fp-contract": ["no_fp_contract"],
     # The _wide twin models the layered TU -> width-common-header -> scalar
-    # detail arrangement of the F16C/VNNI TUs: a literal shared only with
+    # detail arrangement of the VNNI TU: a literal shared only with
     # the width-specific common header must still fire.
     "simd-literal-parity": ["simd_literal_parity", "simd_literal_parity_wide"],
     "no-hot-alloc": ["no_hot_alloc"],
