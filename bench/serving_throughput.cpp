@@ -15,7 +15,8 @@
 // models, with the per-slot queue unbounded (bounded=0) or bounded at a
 // small depth with ShedPolicy::kRejectNew (bounded=1). Counters report the
 // shed rate (ServerOverloaded resolutions / submissions) and each model's
-// p95 latency (interpolated from its end-to-end histogram), so the
+// p95 latency (interpolated from its end-to-end histogram) and the
+// engine-wide batch occupancy (sequences per model call), so the
 // artifact shows what admission control trades: bounded queues cap p95
 // under burst at the cost of shed work.
 //
@@ -161,6 +162,7 @@ void BM_EngineMultiModel(benchmark::State& state) {
 
   std::uint64_t submitted = 0, shed = 0;
   double p95[2] = {0.0, 0.0};
+  double occupancy = 0.0;
   for (auto _ : state) {
     serve::Engine engine(serve::EngineConfig{/*threads=*/0});
     engine.register_model(kModels[0], fixture().model, *fixture().lut, scfg);
@@ -187,6 +189,7 @@ void BM_EngineMultiModel(benchmark::State& state) {
     const serve::EngineStats stats = engine.stats();
     submitted = stats.total.submitted + stats.total.rejected;
     shed = stats.total.rejected_overload;
+    occupancy = stats.total.mean_batch_occupancy;
     for (int mdl = 0; mdl < 2; ++mdl)
       p95[mdl] = stats.models.at(kModels[mdl]).hist_total.quantile(0.95);
   }
@@ -203,6 +206,7 @@ void BM_EngineMultiModel(benchmark::State& state) {
           : 0.0;
   state.counters["p95_us_lut_fp32"] = p95[0];
   state.counters["p95_us_lut_int32"] = p95[1];
+  state.counters["batch_occupancy"] = occupancy;
   nnlut::runtime::set_runtime_config({});
 }
 

@@ -10,6 +10,17 @@
 
 namespace nnlut::serve {
 
+namespace {
+
+// Weight of the newest arrival in a bucket's hit-rate EWMA.
+constexpr double kHitRateAlpha = 0.25;
+// An under-full bucket whose hit rate is below this flushes at once: a
+// batch-mate within max_wait has become the exception, so waiting for one
+// only adds latency.
+constexpr double kFlushBelowHitRate = 0.5;
+
+}  // namespace
+
 Batcher::Batcher(RequestQueue& queue, RunFn run, BatcherConfig cfg,
                  StatsLedger* ledger)
     : queue_(&queue), run_(std::move(run)), cfg_(std::move(cfg)),
@@ -35,6 +46,7 @@ void Batcher::loop() {
     // Sleep until new work, the nearest bucket flush deadline, or close.
     std::optional<std::chrono::steady_clock::time_point> deadline;
     for (const auto& kv : buckets_) {
+      if (kv.second.items.empty()) continue;
       const auto d = kv.second.items.front().enqueued + cfg_.max_wait;
       if (!deadline || d < *deadline) deadline = d;
     }
@@ -51,6 +63,12 @@ void Batcher::loop() {
 
     for (Submission& sub : drained_) {
       Bucket& b = buckets_[sub.input.seq];
+      if (b.last_arrival) {
+        const double hit =
+            sub.enqueued - *b.last_arrival <= cfg_.max_wait ? 1.0 : 0.0;
+        b.hit_rate += kHitRateAlpha * (hit - b.hit_rate);
+      }
+      b.last_arrival = sub.enqueued;
       b.sequences += sub.input.batch;
       b.items.push_back(std::move(sub));
     }
@@ -59,22 +77,26 @@ void Batcher::loop() {
     for (auto& kv : buckets_)
       while (kv.second.sequences >= cfg_.max_batch) flush_chunk(kv.second);
 
-    // Flush buckets whose oldest member has waited out max_wait — and, on
+    // Flush buckets whose oldest member has waited out max_wait, buckets
+    // whose arrivals rarely come within max_wait (flushed early) and, on
     // shutdown, everything still buffered.
     const auto now = std::chrono::steady_clock::now();
     for (auto& kv : buckets_) {
       Bucket& b = kv.second;
-      while (!b.items.empty() &&
-             (closed || b.items.front().enqueued + cfg_.max_wait <= now))
+      const bool sparse = b.hit_rate < kFlushBelowHitRate;
+      while (!b.items.empty()) {
+        const bool due =
+            closed || b.items.front().enqueued + cfg_.max_wait <= now;
+        if (!due && !sparse) break;
+        if (!due && ledger_) ledger_->record_early_flush();
         flush_chunk(b);
+      }
     }
 
-    for (auto it = buckets_.begin(); it != buckets_.end();)
-      it = it->second.items.empty() ? buckets_.erase(it) : std::next(it);
-
-    // Exit once closed and fully drained. A submission that raced the close
-    // still sits in the queue (depth > 0) and gets one more cycle.
-    if (closed && buckets_.empty() && queue_->depth() == 0) return;
+    // Exit once closed: every bucket was flushed above. A submission that
+    // raced the close still sits in the queue (depth > 0) and gets one more
+    // cycle.
+    if (closed && queue_->depth() == 0) return;
   }
 }
 

@@ -3,6 +3,14 @@
 // single merged BatchInput when it holds max_batch sequences or its oldest
 // request has waited max_wait.
 //
+// max_wait is an upper bound, not a fixed delay: a bucket whose arrivals
+// rarely come within max_wait of each other flushes at once. Each bucket
+// keeps, across flushes, an EWMA of "this arrival came within max_wait of
+// the previous same-seq one" (its hit rate, starting at 1 so a cold bucket
+// waits as before); an under-full bucket whose hit rate has fallen below
+// 1/2 is flushed without waiting. The scheduler only looks at its buckets
+// between executions, so arrivals during an execution still batch.
+//
 // Determinism: only requests with identical `seq` merge, and the merged
 // input is the row-wise concatenation of the member requests. Every kernel
 // under InferenceModel::logits is independent per batch element (matmul
@@ -30,6 +38,7 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,9 +53,10 @@ struct BatcherConfig {
   /// Flush threshold, counted in sequences (a request with batch=k
   /// contributes k). A request larger than max_batch still runs, alone.
   std::size_t max_batch = 32;
-  /// How long the oldest request in a bucket may wait before the bucket is
-  /// flushed even if under-full. 0 flushes every drain cycle (latency
-  /// floor, no aggregation beyond what arrives together).
+  /// Upper bound on how long the oldest request in a bucket may wait before
+  /// the bucket is flushed even if under-full; a bucket whose arrivals
+  /// rarely come within it flushes at once. 0 flushes every drain cycle
+  /// (latency floor, no aggregation beyond what arrives together).
   std::chrono::microseconds max_wait{2000};
   /// OS-visible name for the scheduler thread (pthread_setname_np,
   /// truncated to 15 chars; no-op where unsupported). The Engine names each
@@ -71,7 +81,8 @@ class Batcher {
   /// `ledger` (optional, must outlive the batcher) observes execution from
   /// the scheduler thread: record_batch per model invocation, record_done
   /// per resolved request, record_cancelled per drained-but-cancelled
-  /// request.
+  /// request, record_early_flush per bucket chunk flushed on its hit rate
+  /// before max_wait.
   Batcher(RequestQueue& queue, RunFn run, BatcherConfig cfg,
           StatsLedger* ledger = nullptr);
   ~Batcher();
@@ -87,6 +98,10 @@ class Batcher {
   struct Bucket {
     std::vector<Submission> items;
     std::size_t sequences = 0;  // sum of items[i].input.batch
+    // Arrival history, kept while the bucket is empty: the last same-seq
+    // enqueue time and the EWMA hit rate of gaps within max_wait.
+    std::optional<std::chrono::steady_clock::time_point> last_arrival;
+    double hit_rate = 1.0;
   };
 
   void loop();
@@ -106,7 +121,9 @@ class Batcher {
   RunFn run_;
   BatcherConfig cfg_;
   StatsLedger* ledger_;  // may be null (no stats)
-  std::map<std::size_t, Bucket> buckets_;  // keyed by seq; scheduler-only
+  // Keyed by seq, one entry per distinct seq ever seen (never erased, so
+  // the arrival history survives flushes); scheduler-only.
+  std::map<std::size_t, Bucket> buckets_;
   // Scheduler-thread staging, recycled across cycles so the drain -> bucket
   // -> flush -> merge path reuses its vector capacity instead of
   // reallocating per batch. All scheduler-only state.

@@ -130,6 +130,11 @@ void Engine::register_slot_metrics(ModelSlot* slot) {
   metrics_.add_counter("nnlut_batches_total",
                        "Model invocations (merged batches).",
                        Labels{{"model", id}}, [snap] { return snap().batches; });
+  metrics_.add_counter("nnlut_batch_early_flushes_total",
+                       "Under-full batches flushed before max_wait because "
+                       "the bucket's arrivals rarely come within it.",
+                       Labels{{"model", id}},
+                       [snap] { return snap().batches_flushed_early; });
   metrics_.add_gauge("nnlut_queue_depth",
                      "Requests queued (admitted, not yet drained).",
                      Labels{{"model", id}}, [slot] {
@@ -346,6 +351,7 @@ EngineStats Engine::stats() const {
     out.total.failed += s.failed;
     out.total.cancelled += s.cancelled;
     out.total.batches += s.batches;
+    out.total.batches_flushed_early += s.batches_flushed_early;
     out.total.pool_alloc_count += s.pool_alloc_count;
     out.total.pool_reuse_count += s.pool_reuse_count;
     out.total.pool_outstanding += s.pool_outstanding;

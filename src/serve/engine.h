@@ -52,7 +52,8 @@ namespace nnlut::serve {
 struct SlotConfig {
   /// Flush threshold in sequences; 1 disables aggregation.
   std::size_t max_batch = 32;
-  /// Longest a request may sit in an under-full bucket.
+  /// Upper bound on how long a request may sit in an under-full bucket; a
+  /// bucket whose arrivals rarely come within it flushes at once.
   std::chrono::microseconds max_wait{2000};
   /// Matmul precision of the slot's InferenceModel.
   transformer::MatmulMode matmul = transformer::MatmulMode::kFp32;

@@ -79,6 +79,11 @@ void StatsLedger::record_batch(std::size_t requests, std::size_t sequences) {
   batch_sequences_ += sequences;
 }
 
+void StatsLedger::record_early_flush() {
+  MutexLock lk(mu_);
+  ++batches_flushed_early_;
+}
+
 void StatsLedger::record_done(const StageLatency& stages, bool ok) {
   MutexLock lk(mu_);
   if (ok) {
@@ -112,6 +117,7 @@ SlotStats StatsLedger::snapshot(std::size_t queue_depth,
   s.failed = failed_;
   s.cancelled = cancelled_;
   s.batches = batches_;
+  s.batches_flushed_early = batches_flushed_early_;
   if (batches_ > 0) {
     s.mean_batch_requests =
         static_cast<double>(batch_requests_) / static_cast<double>(batches_);

@@ -96,6 +96,9 @@ struct SlotStats {
   std::uint64_t failed = 0;     // resolved with an execution error
   std::uint64_t cancelled = 0;  // withdrawn via cancel() before execution
   std::uint64_t batches = 0;    // model invocations
+  // Under-full bucket chunks flushed before max_wait because their arrivals
+  // rarely came within it (see serve/batcher.h).
+  std::uint64_t batches_flushed_early = 0;
   double mean_batch_requests = 0.0;   // requests per model invocation
   double mean_batch_occupancy = 0.0;  // sequences per model invocation
   std::size_t queue_depth = 0;  // requests queued at snapshot time
@@ -142,6 +145,8 @@ class StatsLedger {
   /// After each executed batch: member request count and merged sequence
   /// count (occupancy).
   void record_batch(std::size_t requests, std::size_t sequences);
+  /// An under-full bucket chunk flushed before max_wait on its hit rate.
+  void record_early_flush();
   /// After each request resolves: its stage-decomposed latency and success
   /// flag. `stages.total` feeds the end-to-end histogram.
   void record_done(const StageLatency& stages, bool ok);
@@ -165,6 +170,7 @@ class StatsLedger {
   std::uint64_t failed_ NNLUT_GUARDED_BY(mu_) = 0;
   std::uint64_t cancelled_ NNLUT_GUARDED_BY(mu_) = 0;
   std::uint64_t batches_ NNLUT_GUARDED_BY(mu_) = 0;
+  std::uint64_t batches_flushed_early_ NNLUT_GUARDED_BY(mu_) = 0;
   std::uint64_t batch_requests_ NNLUT_GUARDED_BY(mu_) = 0;
   std::uint64_t batch_sequences_ NNLUT_GUARDED_BY(mu_) = 0;
   LatencyHistogram latency_ NNLUT_GUARDED_BY(mu_);

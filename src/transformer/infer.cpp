@@ -16,8 +16,12 @@ namespace nnlut::transformer {
 
 namespace {
 
-/// Project a tensor to the matmul operand precision, in place.
-void project(Tensor& t, MatmulMode mode) {
+/// Project a tensor to the matmul operand precision, in place. kInt8 gives
+/// each run of `group` consecutive values its own symmetric scale: weights
+/// pass their whole size (one per-tensor scale), activations their row
+/// length (one scale per token, so a request's rows never depend on the
+/// requests merged into its batch).
+void project(Tensor& t, MatmulMode mode, std::size_t group) {
   switch (mode) {
     case MatmulMode::kFp32:
       return;
@@ -25,10 +29,14 @@ void project(Tensor& t, MatmulMode mode) {
       ibert::fake_quantize_fp16(t.flat());
       return;
     case MatmulMode::kInt8:
-      ibert::fake_quantize(t.flat(), 8);
+      for (std::size_t i = 0; i < t.size(); i += group)
+        ibert::fake_quantize(t.flat().subspan(i, group), 8);
       return;
   }
 }
+
+/// Project an activation block to the matmul operand precision, row by row.
+void project_rows(Tensor& t, MatmulMode mode) { project(t, mode, t.dim(1)); }
 
 /// Throws std::invalid_argument naming the tensor if `t` holds a NaN or
 /// +-inf. The matmul kernels propagate non-finite weights into every logit
@@ -55,7 +63,7 @@ void InferenceModel::PreparedLinear::apply_into(const Tensor& x,
   if (mode != MatmulMode::kFp32) {
     ws.prepare(ws.proj, {x.dim(0), x.dim(1)});
     std::memcpy(ws.proj.data(), x.data(), x.size() * sizeof(float));
-    project(ws.proj, mode);
+    project_rows(ws.proj, mode);
     operand = &ws.proj;
   }
   matmul(*operand, w, y);  // matmul zero-fills y before accumulating
@@ -74,7 +82,7 @@ InferenceModel::InferenceModel(const TaskModel& model, NonlinearitySet& nl,
     require_finite(lin.w.value, layer, name, "weight");
     require_finite(lin.b.value, layer, name, "bias");
     Tensor w = lin.w.value;
-    project(w, m);
+    project(w, m, w.size());
     require_finite(w, layer, name, "weight after projection");
     return PreparedLinear{std::move(w), lin.b.value};
   };
@@ -207,9 +215,9 @@ const Tensor& InferenceModel::encode_into(const BatchInput& in,
     Tensor& v = ws.prepare(ws.v, {rows, hidden});
     lw.wv.apply_into(x, mode_, ws, v);
     // Attention-score matmuls run at the same precision as the projections.
-    project(q, mode_);
-    project(k, mode_);
-    project(v, mode_);
+    project_rows(q, mode_);
+    project_rows(k, mode_);
+    project_rows(v, mode_);
 
     // Attention as per-(batch, head) GEMM calls:
     //   scores_bh  = Q_bh (seq x hd, lda hidden) * K_bh^T (K_bh read

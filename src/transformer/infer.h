@@ -21,9 +21,11 @@ namespace nnlut::transformer {
 enum class MatmulMode {
   kFp32,  // reference
   kFp16,  // weights & every matmul operand/result rounded through binary16
-  kInt8,  // weights & matmul operands symmetric-fake-quantized to 8 bits
-          // (accumulation in FP32 stands in for the INT32 accumulator;
-          // see DESIGN.md substitution table)
+  kInt8,  // weights & matmul operands symmetric-fake-quantized to 8 bits,
+          // one scale per weight tensor and per activation row (token), so
+          // batching never changes a request's logits (accumulation in FP32
+          // stands in for the INT32 accumulator; see DESIGN.md substitution
+          // table)
 };
 
 class InferenceModel {

@@ -2,7 +2,8 @@
 // (incl. the one-shot get() guard), admission control (bounded depth,
 // reject-new / reject-oldest shedding, depth accounting under concurrent
 // submit/drain), dynamic batch formation (same-seq merging, max_batch /
-// max_wait flush), per-request error isolation, cancellation, shutdown
+// max_wait flush, early flush of buckets whose arrivals rarely come within
+// max_wait), per-request error isolation, cancellation, shutdown
 // drain and stats.
 #include <gtest/gtest.h>
 
@@ -588,6 +589,58 @@ TEST(Batcher, CancelledRequestSkippedByScheduler) {
   EXPECT_THROW(victim.get(), RequestCancelled);
   std::lock_guard<std::mutex> lk(rec.mu);
   for (auto& call : rec.calls) EXPECT_LE(call.first, 2u);
+}
+
+TEST(Batcher, SparseArrivalsFlushEarly) {
+  // One request every 300ms against a 200ms max_wait: every gap misses.
+  // The hit rate starts at 1 and loses a quarter of its distance to 0 per
+  // miss (0.75, 0.56, 0.42), so requests 1-3 wait out the deadline and
+  // requests 4 and 5 flush as soon as they are drained.
+  RequestQueue q;
+  BatchRecorder rec;
+  StatsLedger ledger;
+  constexpr auto kMaxWait = 200ms;
+  Batcher b(q, rec.fn(), {/*max_batch=*/64, /*max_wait=*/kMaxWait}, &ledger);
+  auto next = std::chrono::steady_clock::now();
+  for (int i = 0; i < 5; ++i) {
+    std::this_thread::sleep_until(next);
+    const auto t0 = std::chrono::steady_clock::now();
+    next = t0 + 300ms;
+    PendingResult r = q.submit(make_request(1, 8, i));
+    ASSERT_TRUE(r.wait_for(5s)) << "request " << i;
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    if (i < 3) {
+      EXPECT_GE(waited, kMaxWait) << "request " << i;
+    } else {
+      EXPECT_LT(waited, kMaxWait / 2) << "request " << i;
+    }
+    EXPECT_NO_THROW(r.get());
+  }
+  EXPECT_GT(ledger.snapshot().batches_flushed_early, 0u);
+}
+
+TEST(Batcher, ClusteredArrivalsStillMerge) {
+  // Closed-loop-like traffic: bursts of 4 same-seq requests, 200ms apart,
+  // against a 50ms max_wait. One gap in four misses, which keeps the hit
+  // rate above 1/2, so every burst waits for its batch-mates and runs as
+  // one batch of 4.
+  RequestQueue q;
+  BatchRecorder rec;
+  StatsLedger ledger;
+  {
+    Batcher b(q, rec.fn(), {/*max_batch=*/8, /*max_wait=*/50ms}, &ledger);
+    for (int burst = 0; burst < 4; ++burst) {
+      if (burst > 0) std::this_thread::sleep_for(200ms);
+      std::vector<PendingResult> rs;
+      for (int i = 0; i < 4; ++i)
+        rs.push_back(q.submit(make_request(1, 8, burst * 4 + i)));
+      for (auto& r : rs) EXPECT_NO_THROW(r.get());
+    }
+  }
+  std::lock_guard<std::mutex> lk(rec.mu);
+  ASSERT_EQ(rec.calls.size(), 4u);
+  for (auto& c : rec.calls) EXPECT_EQ(c.first, 4u);
+  EXPECT_EQ(ledger.snapshot().batches_flushed_early, 0u);
 }
 
 // ------------------------------------------------------------ histogram ---

@@ -66,7 +66,8 @@ BatchInput random_request(const ModelConfig& cfg, std::size_t batch,
 }
 
 /// Submit `requests` from `clients` threads (round-robin), await all
-/// results, and compare bitwise against direct single-orchestrator logits.
+/// results, and compare bitwise against direct single-orchestrator logits,
+/// both at matmul precision `mode`.
 /// The served side runs through the slot's buffer pool and workspace while
 /// the direct side allocates per call, so the memory path's bit-identity
 /// contract (pools move bytes, never values) is checked for every backend
@@ -74,12 +75,13 @@ BatchInput random_request(const ModelConfig& cfg, std::size_t batch,
 void expect_served_bits_match_direct(const TaskModel& model,
                                      NonlinearitySet& nl,
                                      const std::vector<BatchInput>& requests,
-                                     std::size_t clients) {
+                                     std::size_t clients,
+                                     MatmulMode mode = MatmulMode::kFp32) {
   // Reference: direct calls, one request at a time, on this thread.
   runtime::set_runtime_config({2});
   std::vector<Tensor> direct;
   {
-    InferenceModel infer(model, nl);
+    InferenceModel infer(model, nl, mode);
     for (const BatchInput& in : requests) direct.push_back(infer.logits(in));
   }
 
@@ -87,7 +89,8 @@ void expect_served_bits_match_direct(const TaskModel& model,
   std::vector<Tensor> served(requests.size());
   {
     Engine engine(EngineConfig{/*threads=*/2});
-    engine.register_model("m", model, nl, {.max_batch = 4, .max_wait = 3ms});
+    engine.register_model("m", model, nl,
+                          {.max_batch = 4, .max_wait = 3ms, .matmul = mode});
     std::vector<std::thread> threads;
     for (std::size_t c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
@@ -163,6 +166,17 @@ TEST(ServingDeterminism, IBertBackend) {
   TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
   IBertNonlinearities nl(m.config().act);
   expect_served_bits_match_direct(m, nl, request_mix(m.config(), rng), 4);
+}
+
+TEST(ServingDeterminism, Int8MatmulServedBitsMatchDirect) {
+  // kInt8 quantizes every activation row with its own scale; one scale over
+  // the merged block would make a request's logits depend on its
+  // batch-mates.
+  Rng rng(35);
+  TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
+  ExactNonlinearities nl(m.config().act);
+  expect_served_bits_match_direct(m, nl, request_mix(m.config(), rng), 4,
+                                  MatmulMode::kInt8);
 }
 
 TEST(ServingDeterminism, SpanHeadSplitsPerToken) {
