@@ -130,6 +130,7 @@ std::optional<SimdTier> parse_simd_tier(std::string_view name) {
 bool has_avx512vnni() {
 #ifdef NNLUT_HAVE_AVX512VNNI
   static const bool have = __builtin_cpu_supports("avx512f") != 0 &&
+                           __builtin_cpu_supports("avx512dq") != 0 &&
                            __builtin_cpu_supports("avx512vnni") != 0;
   return have;
 #else
@@ -139,13 +140,17 @@ bool has_avx512vnni() {
 
 SimdTier detected_simd_tier() {
   static const SimdTier tier = [] {
+    // The avx512 tiers need DQ next to F: the I-BERT row kernels run on its
+    // 64-bit lane multiply and int64 conversions. Every AVX-512 CPU except
+    // Xeon Phi has it.
+    const bool avx512 = __builtin_cpu_supports("avx512f") &&
+                        __builtin_cpu_supports("avx512dq");
 #ifdef NNLUT_HAVE_AVX512VNNI
-    if (__builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512vnni"))
+    if (avx512 && __builtin_cpu_supports("avx512vnni"))
       return SimdTier::kAvx512Vnni;
 #endif
 #ifdef NNLUT_HAVE_AVX512
-    if (__builtin_cpu_supports("avx512f")) return SimdTier::kAvx512;
+    if (avx512) return SimdTier::kAvx512;
 #endif
 #ifdef NNLUT_HAVE_AVX2
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c"))

@@ -12,8 +12,8 @@
 //
 // Dispatch model:
 //   - the ISA tier is resolved ONCE at first use from CPUID
-//     (__builtin_cpu_supports) — scalar < AVX2+F16C < AVX-512F <
-//     AVX-512F+VNNI — and installed behind an atomic pointer that
+//     (__builtin_cpu_supports) — scalar < AVX2+F16C < AVX-512F+DQ <
+//     AVX-512F+DQ+VNNI — and installed behind an atomic pointer that
 //     LutKernel::eval reads per call;
 //   - `NNLUT_SIMD_TIER=scalar|avx2|avx512|avx512vnni` caps the automatic
 //     choice at a named tier. It only *lowers* the tier — it can never
@@ -36,6 +36,11 @@
 // including NaN payloads and denormals — so the emulated FP16 datapath is
 // ISA-invariant like the other precisions. Every AVX2 CPU ships F16C, and
 // the avx2 tier requires both CPUID bits.
+//
+// The avx512 tier requires AVX-512DQ next to F, as the avx2 tier requires
+// F16C: the I-BERT row kernels (ibert/ibert_row_kernel.h) run on its
+// 64-bit lane multiply and int64 <-> float conversions. Every AVX-512 CPU
+// except Xeon Phi has DQ.
 //
 // The avx512vnni tier differs from avx512 only in the INT32 MAC: when a
 // compiled table provably fits the int16-pair contract, q_s*q_x + q_t runs
@@ -96,7 +101,8 @@ SimdTier active_simd_tier();
 void set_simd_tier(std::optional<SimdTier> tier);
 
 /// True when this build carries the VNNI INT32 MAC and the CPU reports
-/// avx512vnni — i.e. the avx512vnni tier is detectable here.
+/// avx512f, avx512dq and avx512vnni — i.e. the avx512vnni tier is
+/// detectable here.
 bool has_avx512vnni();
 
 /// Pure form of the environment policy, exposed for tests: the tier cap

@@ -60,17 +60,29 @@ int i_sqrt_iterations(std::int64_t n, int max_iter = 20);
 // skip the row scale and saturate the quantization budget (the grid maximum
 // 2^bits - 1 for gelu/layernorm, 2^24 for softmax), i.e. they behave as the
 // largest representable magnitude. No input value invokes UB in these
-// row-level kernels — llround is never applied to a non-finite value, the
-// row scale floors the max magnitude at 2^-6 (so scale-derived integer
-// constants like floor(b/S) stay far from int64 limits), and softmax caps
-// the scale at ln2/4 (so the integer exp's range reduction stays valid for
-// rows whose magnitudes dwarf the grid: they produce a near-one-hot result,
-// as exact softmax would, rather than a degenerate all-zero table).
+// row-level kernels — the quantizer replaces NaN by 0 and clamps v / S to
+// the budget before it truncates through int32, so no out-of-range or
+// non-finite value is ever converted to an integer; the row scale floors
+// the max magnitude at 2^-6 (so scale-derived integer constants like
+// floor(b/S) stay far from int64 limits), and softmax caps the scale at
+// ln2/4 (so the integer exp's range reduction stays valid for rows whose
+// magnitudes dwarf the grid: they produce a near-one-hot result, as exact
+// softmax would, rather than a degenerate all-zero table). The truncated
+// value t is then rounded half away from zero, exactly as std::round
+// would, by adding (d >= 1/2) - (d <= -1/2) for the exact remainder
+// d = v / S - t.
 //
 // The *_rows block entry points process `nrows` contiguous rows with per-row
 // scales; rows are independent, so row blocks are sharded across the runtime
 // thread pool (runtime/thread_pool.h) with scratch buffers hoisted per
 // shard. Results are bit-identical for any pool size.
+//
+// The row bodies (ibert/ibert_row_kernel.h) are plain C++ instantiated per
+// SIMD tier and dispatched on simd::active_simd_tier(), so NNLUT_SIMD_TIER
+// and RuntimeConfig::simd pin them: the avx512 and avx512vnni tiers run an
+// AVX-512F+DQ build (eight int64 lanes per register), scalar and avx2 the
+// portable baseline. Every tier produces the bits of the scalar reference
+// functions above.
 // ---------------------------------------------------------------------------
 
 /// Integer softmax (I-BERT Alg. 3): subtract integer max, i_exp each entry,

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -177,9 +178,9 @@ TEST(BlockParity, IBertRowsMatchPerRow) {
   });
 }
 
-/// The I-BERT row quantizer for a finite row: per-row scale from the max
-/// magnitude (floored at 2^-6, capped at ln2/4 for softmax), entries
-/// rounded half away from zero and clamped to the budget.
+/// The I-BERT row quantizer: per-row scale from the max finite magnitude
+/// (floored at 2^-6, capped at ln2/4 for softmax), entries rounded half
+/// away from zero and clamped to the budget, NaN to 0 and ±inf to ±budget.
 struct RowGrid {
   float s;
   std::vector<std::int64_t> q;
@@ -187,47 +188,104 @@ struct RowGrid {
 
 RowGrid row_grid(std::span<const float> row, int bits, bool softmax) {
   float mx = 0x1p-6f;
-  for (const float v : row) mx = std::max(mx, std::abs(v));
+  for (const float v : row)
+    if (std::isfinite(v)) mx = std::max(mx, std::abs(v));
   RowGrid g{mx / static_cast<float>((1 << bits) - 1), {}};
   if (softmax) g.s = std::min(g.s, 0.25f * 0.69314718056f);
   const float lim = softmax ? 0x1p24f : static_cast<float>((1 << bits) - 1);
   for (const float v : row)
-    g.q.push_back(
-        static_cast<std::int64_t>(std::clamp(std::round(v / g.s), -lim, lim)));
+    g.q.push_back(std::isnan(v) ? 0
+                                : static_cast<std::int64_t>(std::clamp(
+                                      std::round(v / g.s), -lim, lim)));
   return g;
 }
 
-// The hoisted I-BERT row kernels against the scalar reference API on the
-// same grid (15 input bits): i_gelu per element, and i_exp plus the
-// fixed-point normalizer (30 output bits) for softmax.
-TEST(BlockParity, IBertRowKernelsMatchScalarReference) {
-  std::vector<float> row = parity_input(1, 768, 6.0f);
-  row[0] = 0.25f;  // parity_input puts a NaN there
-  row[5] = 0.0f;
-
+/// The I-BERT row kernels (15 input bits) against the scalar reference API
+/// on the same grid: i_gelu per element; i_exp plus the fixed-point
+/// normalizer (30 output bits) for softmax; the integer mean, i_sqrt and
+/// the 2^31 fixed-point reciprocal for LayerNorm.
+void expect_row_matches_reference(std::span<const float> row,
+                                  const std::string& what) {
+  const std::size_t n = row.size();
   const RowGrid g = row_grid(row, 15, false);
-  std::vector<float> gelu = row;
-  ibert::gelu_row(gelu);
-  for (std::size_t i = 0; i < row.size(); ++i)
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(gelu[i]),
-              std::bit_cast<std::uint32_t>(
-                  ibert::i_gelu({g.q[i], g.s}).value()))
-        << i;
+  {
+    std::vector<float> got(row.begin(), row.end()), want(n);
+    ibert::gelu_row(got);
+    for (std::size_t i = 0; i < n; ++i)
+      want[i] = ibert::i_gelu({g.q[i], g.s}).value();
+    expect_same_bits(got, want, "ibert gelu " + what);
+  }
+  {
+    const RowGrid sg = row_grid(row, 15, true);
+    const std::int64_t qmax = *std::max_element(sg.q.begin(), sg.q.end());
+    std::vector<std::int64_t> e(n);
+    std::int64_t qsum = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      qsum += e[i] = ibert::i_exp({sg.q[i] - qmax, sg.s}).q;
+    const std::int64_t factor = (std::int64_t{1} << 62) / qsum;
+    std::vector<float> got(row.begin(), row.end()), want(n);
+    ibert::softmax_row(got);
+    for (std::size_t i = 0; i < n; ++i)
+      want[i] = static_cast<float>((e[i] * factor) >> 32) * 0x1p-30f;
+    expect_same_bits(got, want, "ibert softmax " + what);
+  }
+  {
+    const auto nn = static_cast<std::int64_t>(n);
+    std::int64_t sum = 0;
+    for (const std::int64_t q : g.q) sum += q;
+    const std::int64_t mean = (sum >= 0 ? sum + nn / 2 : sum - nn / 2) / nn;
+    std::int64_t var = 0;
+    for (const std::int64_t q : g.q) var += (q - mean) * (q - mean);
+    const std::int64_t factor =
+        (std::int64_t{1} << 31) / std::max<std::int64_t>(ibert::i_sqrt(var), 1);
+    const float s_out = std::sqrt(static_cast<float>(n)) * 0x1p-31f;
+    std::vector<float> gamma(n), beta(n);
+    std::uint64_t state = n;
+    for (float& v : gamma) v = bit_built_uniform(state, -1.5f, 1.5f);
+    for (float& v : beta) v = bit_built_uniform(state, -0.5f, 0.5f);
+    std::vector<float> got(n), want(n);
+    ibert::layernorm_row(row, got, gamma, beta);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float v = static_cast<float>((g.q[i] - mean) * factor) * s_out;
+      want[i] = v * gamma[i] + beta[i];
+    }
+    expect_same_bits(got, want, "ibert layernorm " + what);
+  }
+}
 
-  const RowGrid sg = row_grid(row, 15, true);
-  const std::int64_t qmax = *std::max_element(sg.q.begin(), sg.q.end());
-  std::vector<std::int64_t> e(row.size());
-  std::int64_t qsum = 0;
-  for (std::size_t i = 0; i < row.size(); ++i)
-    qsum += e[i] = ibert::i_exp({sg.q[i] - qmax, sg.s}).q;
-  const std::int64_t factor = (std::int64_t{1} << 62) / qsum;
-  std::vector<float> sm = row;
-  ibert::softmax_row(sm);
-  for (std::size_t i = 0; i < row.size(); ++i)
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(sm[i]),
-              std::bit_cast<std::uint32_t>(
-                  static_cast<float>((e[i] * factor) >> 32) * 0x1p-30f))
-        << i;
+// Three rows on every tier and pool size: a uniform row with hostile
+// values; the half-way grid (row max 32767, so the 15-bit scale is exactly
+// 1 and every k + 0.5 strictly between -32767 and 32767 sits on a rounding
+// tie, next to ±0, subnormals, ±inf and NaN), which tells
+// round-half-away-from-zero from any other tie rule; and a softmax row
+// whose shifted grid values reach -q = 2^25, the largest quotients of the
+// range reduction, far into the shift cap of 62.
+TEST(BlockParity, IBertRowKernelsMatchScalarReference) {
+  std::vector<float> uniform = parity_input(1, 768, 6.0f);
+  uniform[0] = 0.25f;  // parity_input puts a NaN there
+  uniform[5] = 0.0f;
+
+  std::vector<float> ties = {32767.0f, -32767.0f, 0.0f, -0.0f,
+                             std::numeric_limits<float>::denorm_min(),
+                             -std::numeric_limits<float>::denorm_min(),
+                             std::numeric_limits<float>::min() / 2,
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             std::numeric_limits<float>::quiet_NaN()};
+  for (int k = -32767; k < 32767; ++k)
+    ties.push_back(static_cast<float>(k) + 0.5f);
+
+  // ln2/4 caps the softmax scale, so ±2.9e6 quantizes near ±2^24 and ±1e30
+  // saturates there.
+  std::vector<float> wide = parity_input(1, 1000, 2.9e6f);
+  wide[1] = 1e30f;
+  wide[2] = -1e30f;
+
+  for_each_runtime([&] {
+    expect_row_matches_reference(uniform, "uniform" + where(1, uniform.size()));
+    expect_row_matches_reference(ties, "ties" + where(1, ties.size()));
+    expect_row_matches_reference(wide, "wide" + where(1, wide.size()));
+  });
 }
 
 }  // namespace
