@@ -2,62 +2,40 @@
 
 #include <algorithm>
 #include <cassert>
-#include <type_traits>
 #include <vector>
 
+#include "core/lut_kernel_simd.h"
+#include "core/nnlut_row_kernel.h"
 #include "runtime/thread_pool.h"
 
 namespace nnlut {
 
+#ifdef NNLUT_HAVE_AVX512
+namespace detail {
+// Defined in nnlut_ops_avx512.cpp (built with -mavx512f -mavx512dq).
+const LutRowKernels& lut_row_kernels_avx512();
+}  // namespace detail
+#endif
+
 namespace {
 
-// Rows reduced side by side. A reduction over one row is a serial chain
-// (every std::max or += waits on the previous one); kInterleave rows at once
-// give the core independent chains to overlap. Each row still folds its own
-// elements in ascending order with the one-row expression, so every row's
-// result is bit-identical to reducing it alone.
-constexpr std::size_t kInterleave = 8;
+/// The baseline passes (core/nnlut_row_kernel.h), compiled for the portable
+/// ISA.
+constexpr detail::LutRowKernels kBaselineRowKernels{
+    &detail::softmax_shift, &detail::row_sums, &detail::scale_rows,
+    &detail::moments_rows, &detail::affine_rows};
 
-/// Calls body(r0, std::integral_constant<std::size_t, G>{}) for row groups
-/// covering [0, nrows): full groups of G = kInterleave rows, then the
-/// remaining rows one at a time (G = 1, the one-row loop).
-template <typename Body>
-void for_row_groups(std::size_t nrows, Body&& body) {
-  std::size_t r = 0;
-  for (; r + kInterleave <= nrows; r += kInterleave)
-    body(r, std::integral_constant<std::size_t, kInterleave>{});
-  for (; r < nrows; ++r) body(r, std::integral_constant<std::size_t, 1>{});
-}
-
-/// Exact mean and variance (the MAC-array work) of G rows of length n,
-/// `stride` floats apart, accumulated in double exactly like the reference
-/// implementation.
-template <std::size_t G>
-void row_moments(const float* x, std::size_t stride, std::size_t n,
-                 float* mean_out, float* var_out) {
-  double mean[G] = {};
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t g = 0; g < G; ++g) mean[g] += x[g * stride + j];
-  for (std::size_t g = 0; g < G; ++g) mean[g] /= static_cast<double>(n);
-  double var[G] = {};
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t g = 0; g < G; ++g) {
-      const double d = x[g * stride + j] - mean[g];
-      var[g] += d * d;
-    }
-  for (std::size_t g = 0; g < G; ++g) {
-    mean_out[g] = static_cast<float>(mean[g]);
-    var_out[g] = static_cast<float>(var[g] / static_cast<double>(n));
-  }
-}
-
-void affine_row(const float* x, float* y, std::size_t n, float mean, float inv,
-                std::span<const float> gamma, std::span<const float> beta) {
-  for (std::size_t j = 0; j < n; ++j) {
-    float v = (x[j] - mean) * inv;
-    if (!gamma.empty()) v *= gamma[j];
-    if (!beta.empty()) v += beta[j];
-    y[j] = v;
+/// The row passes of the active SIMD tier. The avx512vnni tier shares the
+/// AVX-512 build; avx2 runs the baseline one.
+const detail::LutRowKernels& row_kernels() {
+  switch (simd::active_simd_tier()) {
+#ifdef NNLUT_HAVE_AVX512
+    case simd::SimdTier::kAvx512Vnni:
+    case simd::SimdTier::kAvx512:
+      return detail::lut_row_kernels_avx512();
+#endif
+    default:
+      return kBaselineRowKernels;
   }
 }
 
@@ -65,8 +43,8 @@ void affine_row(const float* x, float* y, std::size_t n, float mean, float inv,
 // or on pool worker threads, both long-lived, so once a thread has seen the
 // largest block of a warmed serving slot these never reallocate. Every
 // element is (re)written before it is read, so recycled contents cannot
-// leak into results. t_softmax_row holds each row's max, then its sum, then
-// its reciprocal.
+// leak into results. t_softmax_row holds each row's sum, then its
+// reciprocal.
 thread_local std::vector<float> t_softmax_row;
 thread_local std::vector<float> t_ln_mean;
 thread_local std::vector<float> t_ln_vs;
@@ -105,43 +83,18 @@ void SoftmaxApprox::rows(std::span<float> data, std::size_t nrows,
 
 void SoftmaxApprox::rows_block(float* data, std::size_t nrows,
                                std::size_t ncols) const {
+  const detail::LutRowKernels& k = row_kernels();
   std::vector<float>& acc = t_softmax_row;
   // Warm-once per thread: a serving slot's blocks stop growing it after the
   // first request of its largest seq bucket.
   acc.resize(nrows);  // lint:allow hot-alloc
-  for_row_groups(nrows, [&](std::size_t r0, auto group) {
-    constexpr std::size_t G = decltype(group)::value;
-    const float* rows = data + r0 * ncols;
-    float mx[G];
-    for (std::size_t g = 0; g < G; ++g) mx[g] = rows[g * ncols];
-    for (std::size_t j = 1; j < ncols; ++j)
-      for (std::size_t g = 0; g < G; ++g)
-        mx[g] = std::max(mx[g], rows[g * ncols + j]);
-    for (std::size_t g = 0; g < G; ++g) acc[r0 + g] = mx[g];
-  });
-  for (std::size_t r = 0; r < nrows; ++r) {
-    float* row = data + r * ncols;
-    const float mx = acc[r];
-    for (std::size_t j = 0; j < ncols; ++j)
-      row[j] = std::clamp(row[j] - mx, exp_clip_.lo, exp_clip_.hi);
-  }
+  k.softmax_shift(data, nrows, ncols, exp_clip_.lo, exp_clip_.hi);
   // One EXP LUT pass over every shifted logit of every row in the block.
   exp_fn_->eval_inplace(std::span<float>(data, nrows * ncols));
-  for_row_groups(nrows, [&](std::size_t r0, auto group) {
-    constexpr std::size_t G = decltype(group)::value;
-    const float* rows = data + r0 * ncols;
-    float sum[G] = {};
-    for (std::size_t j = 0; j < ncols; ++j)
-      for (std::size_t g = 0; g < G; ++g) sum[g] += rows[g * ncols + j];
-    for (std::size_t g = 0; g < G; ++g) acc[r0 + g] = sum[g];
-  });
+  k.row_sums(data, nrows, ncols, acc.data());
   // One Divide LUT pass over all the block's row normalizers.
   recip_fn_->eval_inplace(acc);
-  for (std::size_t r = 0; r < nrows; ++r) {
-    float* row = data + r * ncols;
-    const float inv = acc[r];
-    for (std::size_t j = 0; j < ncols; ++j) row[j] *= inv;
-  }
+  k.scale_rows(data, nrows, ncols, acc.data());
 }
 
 float LayerNormApprox::inv_std(float v) const {
@@ -163,9 +116,11 @@ void LayerNormApprox::operator()(std::span<const float> x, std::span<float> y,
   if (n == 0) return;
 
   float mean = 0.0f, var = 0.0f;
-  row_moments<1>(x.data(), n, n, &mean, &var);
+  detail::row_moments<1>(x.data(), n, n, &mean, &var);
   const float inv = inv_std(var + kLayerNormEps);
-  affine_row(x.data(), y.data(), n, mean, inv, gamma, beta);
+  detail::affine_row(x.data(), y.data(), n, mean, inv,
+                     gamma.empty() ? nullptr : gamma.data(),
+                     beta.empty() ? nullptr : beta.data());
 }
 
 void LayerNormApprox::rows(std::span<const float> x, std::span<float> y,
@@ -190,6 +145,7 @@ void LayerNormApprox::rows_block(const float* x, float* y, std::size_t nrows,
                                  std::size_t ncols,
                                  std::span<const float> gamma,
                                  std::span<const float> beta) const {
+  const detail::LutRowKernels& k = row_kernels();
   std::vector<float>& mean = t_ln_mean;
   std::vector<float>& vs = t_ln_vs;
   std::vector<unsigned char>& scaled = t_ln_scaled;
@@ -197,10 +153,7 @@ void LayerNormApprox::rows_block(const float* x, float* y, std::size_t nrows,
   mean.resize(nrows);  // lint:allow hot-alloc
   vs.resize(nrows);    // lint:allow hot-alloc
   scaled.assign(nrows, 0);  // assign, not resize: stale 1s must clear
-  for_row_groups(nrows, [&](std::size_t r0, auto group) {
-    constexpr std::size_t G = decltype(group)::value;
-    row_moments<G>(x + r0 * ncols, ncols, ncols, &mean[r0], &vs[r0]);
-  });
+  k.moments_rows(x, nrows, ncols, mean.data(), vs.data());
   for (std::size_t r = 0; r < nrows; ++r) {
     vs[r] = vs[r] + kLayerNormEps;
     if (opt_.input_scaling && vs[r] < 1.0f) {
@@ -211,10 +164,11 @@ void LayerNormApprox::rows_block(const float* x, float* y, std::size_t nrows,
   // One 1/SQRT LUT pass over every (pre-scaled) row variance.
   rsqrt_fn_->eval_inplace(vs);
   const float root_s = std::sqrt(kLayerNormInputScale);
-  for (std::size_t r = 0; r < nrows; ++r) {
-    const float inv = scaled[r] ? vs[r] * root_s : vs[r];
-    affine_row(x + r * ncols, y + r * ncols, ncols, mean[r], inv, gamma, beta);
-  }
+  for (std::size_t r = 0; r < nrows; ++r)
+    if (scaled[r]) vs[r] = vs[r] * root_s;
+  k.affine_rows(x, y, nrows, ncols, mean.data(), vs.data(),
+                gamma.empty() ? nullptr : gamma.data(),
+                beta.empty() ? nullptr : beta.data());
 }
 
 }  // namespace nnlut

@@ -53,8 +53,12 @@ class SoftmaxApprox {
   /// sharded across the runtime thread pool (rows are independent, so the
   /// result is bit-identical for any pool size); each block runs one EXP LUT
   /// call over all its shifted logits and one Divide LUT call over all its
-  /// normalizers. Row maxima and sums are reduced 8 rows side by side, each
-  /// row in ascending column order, so every row equals operator() on it.
+  /// normalizers. The passes around those two calls (max, shift and clamp,
+  /// sums, scale) run on the active SIMD tier (core/nnlut_row_kernel.h):
+  /// the baseline interleaves 8 row reductions, the AVX-512 tier takes each
+  /// row max 16 lanes wide and sums 8 rows per vector. Every row is still
+  /// reduced in ascending column order with operator()'s expressions, so
+  /// every row equals operator() on it, on every tier.
   void rows(std::span<float> data, std::size_t nrows, std::size_t ncols) const;
 
  private:
@@ -99,9 +103,12 @@ class LayerNormApprox {
 
   /// `nrows` contiguous rows of length `ncols`, sharded row-blockwise across
   /// the runtime thread pool (bit-identical for any pool size): each block
-  /// computes exact per-row mean/variance (8 rows side by side, each row's
-  /// double accumulation in ascending column order, so every row equals
-  /// operator() on it), then ONE 1/SQRT LUT call over all its row variances.
+  /// computes exact per-row mean/variance, then ONE 1/SQRT LUT call over all
+  /// its row variances, then the affine pass. The moments and the affine
+  /// pass run on the active SIMD tier (core/nnlut_row_kernel.h; 8 rows
+  /// interleaved at baseline, 8 rows per double vector at AVX-512), each
+  /// row's double accumulation in ascending column order, so every row
+  /// equals operator() on it, on every tier.
   void rows(std::span<const float> x, std::span<float> y, std::size_t nrows,
             std::size_t ncols, std::span<const float> gamma,
             std::span<const float> beta) const;

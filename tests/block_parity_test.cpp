@@ -16,6 +16,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bit_built.h"
@@ -34,8 +35,11 @@ using test::kExpSpec;
 using test::kRecipSpec;
 using test::kRsqrtSpec;
 
-constexpr std::size_t kRows[] = {1, 7, 8, 9, 17, 1536};
-constexpr std::size_t kCols[] = {1, 3, 33, 128, 768};
+// Both sides of one and two 8-row groups (the interleave, and the AVX-512
+// tier's transposed tile); both sides of its 8-column tile and of the
+// 16-lane vector.
+constexpr std::size_t kRows[] = {1, 7, 8, 9, 15, 16, 17, 1536};
+constexpr std::size_t kCols[] = {1, 3, 15, 16, 17, 33, 128, 768};
 
 /// Uniform rows over [-range, range). Row r carries one hostile value (or
 /// none, every seventh row) at its first, middle or last position, cycling
@@ -141,6 +145,96 @@ TEST(BlockParity, LutLayerNormRowsMatchPerRow) {
         }
     });
   }
+}
+
+/// Rows whose max a vector max can get wrong, one `ncols`-long row per
+/// kind, over uniform negative values: the max is a zero present with both
+/// signs (+0 first, then -0 first), the row is all -inf, or a NaN sits at
+/// lane 5 of the first vector, in the lane of a unique max one vector
+/// later, in the last column, or first.
+std::vector<float> max_edge_rows(std::size_t ncols) {
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const std::size_t last = ncols - 1;
+  const std::size_t lane5 = std::min<std::size_t>(5, last);
+  const std::size_t mid = ncols / 2;
+  std::uint64_t state = 0x6d6178ull + ncols;
+  auto row = [&] {
+    std::vector<float> r(ncols);
+    for (float& v : r) v = bit_built_uniform(state, -8.0f, -0.5f);
+    return r;
+  };
+  std::vector<std::vector<float>> rows;
+  for (const float first_zero : {0.0f, -0.0f}) {
+    std::vector<float> r = row();
+    r[mid] = first_zero;
+    r[last] = -first_zero;
+    rows.push_back(r);
+  }
+  rows.push_back(std::vector<float>(ncols, -kInf));
+  {
+    std::vector<float> r = row();
+    r[lane5] = kNan;
+    rows.push_back(r);
+  }
+  {
+    std::vector<float> r = row();
+    r[lane5] = 4.0f;  // unique max, then NaN in its lane
+    r[std::min(lane5 + 16, last)] = kNan;
+    rows.push_back(r);
+  }
+  {
+    std::vector<float> r = row();
+    r[mid] = kInf;
+    r[last] = kNan;
+    rows.push_back(r);
+  }
+  {
+    std::vector<float> r = row();
+    r[0] = kNan;
+    rows.push_back(r);
+  }
+  std::vector<float> x;
+  for (const auto& r : rows) x.insert(x.end(), r.begin(), r.end());
+  return x;
+}
+
+/// The max fast path of the wide tiers against the one-row chain, through
+/// the LUTs and through exact functions whose output tells the sign of a
+/// zero apart. Each block stacks the edge rows thrice, 21 rows, so they
+/// land in full 8-row tiles and in the remainder.
+TEST(BlockParity, SoftmaxMaxFallbackRowsMatchPerRow) {
+  const ExactFn signed_exp([](float x) {
+    return std::signbit(x) ? 0.5f * std::exp(x) : std::exp(x);
+  });
+  const ExactFn recip([](float x) { return 1.0f / x; });
+  std::vector<std::unique_ptr<ScalarFn>> luts;
+  std::vector<std::pair<const ScalarFn*, const ScalarFn*>> fns = {
+      {&signed_exp, &recip}};
+  for (const LutPrecision p : kPrecisions) {
+    luts.push_back(make_lut_fn(bit_built_table(1, 16, kExpSpec), p, 256.0f));
+    luts.push_back(
+        make_lut_fn(bit_built_table(2, 16, kRecipSpec), p, 1024.0f));
+    fns.emplace_back(luts[luts.size() - 2].get(), luts.back().get());
+  }
+  for_each_runtime([&] {
+    for (const std::size_t ncols : kCols) {
+      const std::vector<float> edge = max_edge_rows(ncols);
+      std::vector<float> x;
+      for (int k = 0; k < 3; ++k) x.insert(x.end(), edge.begin(), edge.end());
+      const std::size_t nrows = x.size() / ncols;
+      for (std::size_t f = 0; f < fns.size(); ++f) {
+        const SoftmaxApprox sm(*fns[f].first, *fns[f].second);
+        std::vector<float> block = x, rows = x;
+        sm.rows(block, nrows, ncols);
+        for (std::size_t r = 0; r < nrows; ++r)
+          sm(std::span<float>(rows).subspan(r * ncols, ncols));
+        expect_same_bits(block, rows,
+                         "softmax edge rows fns=" + std::to_string(f) +
+                             where(nrows, ncols));
+      }
+    }
+  });
 }
 
 TEST(BlockParity, IBertRowsMatchPerRow) {
