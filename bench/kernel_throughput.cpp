@@ -17,7 +17,6 @@
 // machine-readable JSON to BENCH_kernel_throughput.json.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <memory>
@@ -26,6 +25,7 @@
 #include <vector>
 
 #include "approx/linear_lut.h"
+#include "bench_util.h"
 #include "core/function_library.h"
 #include "core/lut_kernel_simd.h"
 #include "core/nnlut_ops.h"
@@ -565,34 +565,17 @@ BENCHMARK(BM_NnToLutTransform);
 
 }  // namespace
 
-// Custom main: default to writing machine-readable JSON next to the working
-// directory unless the caller already chose an output file.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-  static std::string out = "--benchmark_out=BENCH_kernel_throughput.json";
-  static std::string fmt = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out.data());
-    args.push_back(fmt.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   // The JSON artifact is self-describing about the machine's SIMD support:
-  // which tiers were measurable here and what automatic dispatch resolves to.
+  // what automatic dispatch resolves to next to the detected tier that
+  // run_benchmarks records.
   namespace simd = nnlut::simd;
-  benchmark::AddCustomContext("simd_detected",
-                              simd::simd_tier_name(simd::detected_simd_tier()));
   benchmark::AddCustomContext("simd_auto",
                               simd::simd_tier_name(simd::auto_simd_tier()));
   benchmark::AddCustomContext("simd_vnni",
                               simd::has_avx512vnni() ? "1" : "0");
   register_tier_benchmarks();
   register_block_benchmarks();
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return nnlut::benchutil::run_benchmarks(argc, argv,
+                                          "BENCH_kernel_throughput.json");
 }

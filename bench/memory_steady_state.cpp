@@ -19,15 +19,11 @@
 // machine-readable JSON to BENCH_memory_steady_state.json.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "approx/linear_lut.h"
 #include "bench_util.h"
-#include "numerics/math.h"
 #include "numerics/rng.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
@@ -62,12 +58,7 @@ struct Fixture {
 
   Fixture(const ModelConfig& cfg, Rng& rng)
       : model(cfg, HeadKind::kClassify, 2, rng) {
-    LutSet luts{fit_linear_lut(gelu_exact, kGeluRange, 16),
-                fit_linear_lut(exp_exact, {-16.0f, 0.0f}, 16),
-                fit_fixed_breakpoint_lut(reciprocal_exact, {1.0f, 1024.0f}, 16,
-                                         BreakpointMode::kExponential),
-                fit_fixed_breakpoint_lut(rsqrt_exact, kRsqrtRange, 16,
-                                         BreakpointMode::kExponential)};
+    const LutSet luts = benchutil::serving_luts();
     LutNonlinearities::Options opt;
     opt.select = ApproxSelection::all();
     lut = make_lut_backend(luts, LutPrecision::kFp32, opt);
@@ -78,17 +69,6 @@ Fixture& fixture() {
   static Rng rng(42);
   static Fixture f(bench_config(), rng);
   return f;
-}
-
-BatchInput request_for(std::uint64_t seed, std::size_t seq) {
-  Rng rng(1000 + seed);
-  BatchInput in;
-  in.batch = 1;
-  in.seq = seq;
-  in.token_ids.resize(seq);
-  for (int& t : in.token_ids)
-    t = rng.uniform_int(0, static_cast<int>(bench_config().vocab) - 1);
-  return in;
 }
 
 /// One closed-loop wave: every client runs its request stream to completion.
@@ -118,8 +98,9 @@ void BM_MemorySteadyState(benchmark::State& state) {
   for (std::size_t c = 0; c < clients; ++c)
     for (int k = 0; k < kRequestsPerClient; ++k) {
       const std::size_t seq = mixed_seq && (k % 2 == 1) ? kMaxSeq / 2 : kMaxSeq;
-      streams[c].push_back(
-          request_for(c * 1001 + static_cast<std::uint64_t>(k), seq));
+      streams[c].push_back(benchutil::random_request(
+          1000 + c * 1001 + static_cast<std::uint64_t>(k), seq,
+          bench_config().vocab));
     }
 
   serve::Engine engine(serve::EngineConfig{/*threads=*/0});  // all cores
@@ -178,23 +159,7 @@ BENCHMARK(BM_MemorySteadyState)
 
 }  // namespace
 
-// Custom main: default to writing machine-readable JSON next to the working
-// directory unless the caller already chose an output file.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-  static std::string out = "--benchmark_out=BENCH_memory_steady_state.json";
-  static std::string fmt = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out.data());
-    args.push_back(fmt.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return nnlut::benchutil::run_benchmarks(argc, argv,
+                                          "BENCH_memory_steady_state.json");
 }

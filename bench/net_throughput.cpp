@@ -11,21 +11,28 @@
 // fan-in: capped latency for shed work (kOverloaded completions +
 // pre-parse sheds).
 //
+// Every iteration also checks the run end to end, and the row is skipped
+// with an error (which CI fails on) unless no client thread failed, every
+// request completed ok or kOverloaded, and the server's delivery ledger
+// reconciles: submits_forwarded == completions_enqueued + responses_dropped.
+//
 // Unless --benchmark_out is given, results are also written as
 // machine-readable JSON to BENCH_net_throughput.json.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
+#include <chrono>
+#include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "approx/linear_lut.h"
+#include "bench_util.h"
 #include "net/client.h"
 #include "net/tcp_server.h"
-#include "numerics/math.h"
 #include "numerics/rng.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
@@ -60,12 +67,7 @@ struct Fixture {
 
   Fixture(const ModelConfig& cfg, Rng& rng)
       : model(cfg, HeadKind::kClassify, 2, rng) {
-    LutSet luts{fit_linear_lut(gelu_exact, kGeluRange, 16),
-                fit_linear_lut(exp_exact, {-16.0f, 0.0f}, 16),
-                fit_fixed_breakpoint_lut(reciprocal_exact, {1.0f, 1024.0f}, 16,
-                                         BreakpointMode::kExponential),
-                fit_fixed_breakpoint_lut(rsqrt_exact, kRsqrtRange, 16,
-                                         BreakpointMode::kExponential)};
+    const LutSet luts = benchutil::serving_luts();
     LutNonlinearities::Options opt;
     opt.select = ApproxSelection::all();
     lut_fp32 = make_lut_backend(luts, LutPrecision::kFp32, opt);
@@ -79,15 +81,41 @@ Fixture& fixture() {
   return f;
 }
 
-BatchInput request_for(std::uint64_t seed) {
-  Rng rng(static_cast<int>(3000 + seed));
-  BatchInput in;
-  in.batch = 1;
-  in.seq = kSeq;
-  in.token_ids.resize(kSeq);
-  for (int& t : in.token_ids)
-    t = rng.uniform_int(0, static_cast<int>(bench_config().vocab) - 1);
-  return in;
+/// What the clients of one closed-loop iteration observed.
+struct LoopTally {
+  serve::LatencyHistogram latency;  // submit -> completion frame
+  std::uint64_t ok = 0;
+  std::uint64_t shed = 0;    // kOverloaded completions
+  std::uint64_t errors = 0;  // any other error code
+  std::string failure;       // first client-thread exception, if any
+
+  void merge(const LoopTally& o) {
+    latency.merge(o.latency);
+    ok += o.ok;
+    shed += o.shed;
+    errors += o.errors;
+    if (failure.empty()) failure = o.failure;
+  }
+};
+
+/// Empty when no client thread failed, all `expected` requests completed ok
+/// or kOverloaded, and the server's delivery ledger reconciles; otherwise
+/// the first violation.
+std::string check_iteration(const LoopTally& t, std::uint64_t expected,
+                            const net::NetStats& net) {
+  if (!t.failure.empty()) return "client thread failed: " + t.failure;
+  if (t.errors != 0)
+    return std::to_string(t.errors) +
+           " completions carried an error other than kOverloaded";
+  if (t.ok + t.shed != expected)
+    return "completed " + std::to_string(t.ok + t.shed) + " of " +
+           std::to_string(expected) + " requests";
+  if (net.submits_forwarded != net.completions_enqueued + net.responses_dropped)
+    return "ledger: submits_forwarded " +
+           std::to_string(net.submits_forwarded) + " != completions_enqueued " +
+           std::to_string(net.completions_enqueued) + " + responses_dropped " +
+           std::to_string(net.responses_dropped);
+  return {};
 }
 
 void BM_NetClosedLoop(benchmark::State& state) {
@@ -104,11 +132,11 @@ void BM_NetClosedLoop(benchmark::State& state) {
   std::vector<std::vector<BatchInput>> streams(connections);
   for (std::size_t c = 0; c < connections; ++c)
     for (int k = 0; k < kRequestsPerConn; ++k)
-      streams[c].push_back(
-          request_for(c * 4007 + static_cast<std::uint64_t>(k)));
+      streams[c].push_back(benchutil::random_request(
+          3000 + c * 4007 + static_cast<std::uint64_t>(k), kSeq,
+          bench_config().vocab));
 
-  serve::LatencyHistogram latency;
-  std::uint64_t ok = 0, shed = 0;
+  LoopTally tally;
   net::NetStats net{};
   for (auto _ : state) {
     serve::Engine engine(serve::EngineConfig{/*threads=*/0});
@@ -118,55 +146,64 @@ void BM_NetClosedLoop(benchmark::State& state) {
                           scfg);
     net::TcpServer server(engine);
 
-    serve::LatencyHistogram iter_latency;
-    std::uint64_t iter_ok = 0, iter_shed = 0;
+    LoopTally iter;
     std::mutex agg_mu;
     std::vector<std::thread> threads;
     threads.reserve(connections);
     for (std::size_t c = 0; c < connections; ++c) {
       threads.emplace_back([&, c] {
-        net::Client client("127.0.0.1", server.port());
-        const char* model = kModels[c % 2];
-        serve::LatencyHistogram local;
-        std::uint64_t local_ok = 0, local_shed = 0;
-        std::vector<std::pair<std::uint64_t,
-                              std::chrono::steady_clock::time_point>> window;
-        std::size_t next = 0;
-        auto prime = [&] {
-          while (next < streams[c].size() && window.size() < kInflight) {
-            const auto t0 = std::chrono::steady_clock::now();
-            window.emplace_back(client.submit(model, streams[c][next]), t0);
-            ++next;
-          }
-        };
-        prime();
-        while (!window.empty()) {
-          const auto [id, t0] = window.front();
-          window.erase(window.begin());
-          const net::Completion done = client.await(id);
-          local.record(std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0));
-          if (done.ok) {
-            ++local_ok;
-            benchmark::DoNotOptimize(done.logits.data());
-          } else if (done.code == net::ErrorCode::kOverloaded) {
-            ++local_shed;
-          }
+        LoopTally local;
+        try {
+          net::Client client("127.0.0.1", server.port());
+          const char* model = kModels[c % 2];
+          std::vector<std::pair<std::uint64_t,
+                                std::chrono::steady_clock::time_point>> window;
+          std::size_t next = 0;
+          auto prime = [&] {
+            while (next < streams[c].size() && window.size() < kInflight) {
+              const auto t0 = std::chrono::steady_clock::now();
+              window.emplace_back(client.submit(model, streams[c][next]), t0);
+              ++next;
+            }
+          };
           prime();
+          while (!window.empty()) {
+            const auto [id, t0] = window.front();
+            window.erase(window.begin());
+            const net::Completion done = client.await(id);
+            local.latency.record(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - t0));
+            if (done.ok) {
+              ++local.ok;
+              benchmark::DoNotOptimize(done.logits.data());
+            } else if (done.code == net::ErrorCode::kOverloaded) {
+              ++local.shed;
+            } else {
+              ++local.errors;
+            }
+            prime();
+          }
+        } catch (const std::exception& e) {
+          local.failure = e.what();
         }
         std::lock_guard<std::mutex> lk(agg_mu);
-        iter_latency.merge(local);
-        iter_ok += local_ok;
-        iter_shed += local_shed;
+        iter.merge(local);
       });
     }
     for (auto& t : threads) t.join();
-    net = server.stats();
     server.stop();
+    net = server.stats();
     engine.shutdown();
-    latency = iter_latency;
-    ok = iter_ok;
-    shed = iter_shed;
+    tally = std::move(iter);
+
+    const std::string error = check_iteration(
+        tally, connections * static_cast<std::uint64_t>(kRequestsPerConn),
+        net);
+    if (!error.empty()) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
   }
 
   const auto total_requests =
@@ -175,11 +212,13 @@ void BM_NetClosedLoop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(total_requests));
   state.counters["req_per_s"] = benchmark::Counter(
       static_cast<double>(total_requests), benchmark::Counter::kIsRate);
-  state.counters["p50_us"] = latency.quantile(0.50);
-  state.counters["p95_us"] = latency.quantile(0.95);
+  state.counters["p50_us"] = tally.latency.quantile(0.50);
+  state.counters["p95_us"] = tally.latency.quantile(0.95);
+  const std::uint64_t answered = tally.ok + tally.shed;
   state.counters["shed_rate"] =
-      ok + shed > 0 ? static_cast<double>(shed) / static_cast<double>(ok + shed)
-                    : 0.0;
+      answered > 0
+          ? static_cast<double>(tally.shed) / static_cast<double>(answered)
+          : 0.0;
   state.counters["sheds_preparse"] = static_cast<double>(net.sheds_preparse);
   nnlut::runtime::set_runtime_config({});
 }
@@ -192,23 +231,7 @@ BENCHMARK(BM_NetClosedLoop)
 
 }  // namespace
 
-// Custom main: default to writing machine-readable JSON next to the working
-// directory unless the caller already chose an output file.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-  static std::string out = "--benchmark_out=BENCH_net_throughput.json";
-  static std::string fmt = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out.data());
-    args.push_back(fmt.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return nnlut::benchutil::run_benchmarks(argc, argv,
+                                          "BENCH_net_throughput.json");
 }

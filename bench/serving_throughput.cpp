@@ -24,14 +24,11 @@
 // machine-readable JSON to BENCH_serving_throughput.json.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "approx/linear_lut.h"
-#include "numerics/math.h"
+#include "bench_util.h"
 #include "numerics/rng.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
@@ -64,12 +61,7 @@ struct Fixture {
 
   Fixture(const ModelConfig& cfg, Rng& rng)
       : model(cfg, HeadKind::kClassify, 2, rng) {
-    LutSet luts{fit_linear_lut(gelu_exact, kGeluRange, 16),
-                fit_linear_lut(exp_exact, {-16.0f, 0.0f}, 16),
-                fit_fixed_breakpoint_lut(reciprocal_exact, {1.0f, 1024.0f}, 16,
-                                         BreakpointMode::kExponential),
-                fit_fixed_breakpoint_lut(rsqrt_exact, kRsqrtRange, 16,
-                                         BreakpointMode::kExponential)};
+    const LutSet luts = benchutil::serving_luts();
     LutNonlinearities::Options opt;
     opt.select = ApproxSelection::all();
     lut = make_lut_backend(luts, LutPrecision::kFp32, opt);
@@ -83,17 +75,6 @@ Fixture& fixture() {
   return f;
 }
 
-BatchInput request_for(std::uint64_t seed) {
-  Rng rng(1000 + seed);
-  BatchInput in;
-  in.batch = 1;
-  in.seq = kSeq;
-  in.token_ids.resize(kSeq);
-  for (int& t : in.token_ids)
-    t = rng.uniform_int(0, static_cast<int>(bench_config().vocab) - 1);
-  return in;
-}
-
 void BM_ServingClosedLoop(benchmark::State& state) {
   const std::size_t clients = static_cast<std::size_t>(state.range(0));
   const std::size_t max_batch = static_cast<std::size_t>(state.range(1));
@@ -105,7 +86,9 @@ void BM_ServingClosedLoop(benchmark::State& state) {
   std::vector<std::vector<BatchInput>> streams(clients);
   for (std::size_t c = 0; c < clients; ++c)
     for (int k = 0; k < kRequestsPerClient; ++k)
-      streams[c].push_back(request_for(c * 1001 + static_cast<std::uint64_t>(k)));
+      streams[c].push_back(benchutil::random_request(
+          1000 + c * 1001 + static_cast<std::uint64_t>(k), kSeq,
+          bench_config().vocab));
 
   double occupancy = 0.0;
   for (auto _ : state) {
@@ -158,7 +141,9 @@ void BM_EngineMultiModel(benchmark::State& state) {
   std::vector<std::vector<BatchInput>> streams(clients);
   for (std::size_t c = 0; c < clients; ++c)
     for (int k = 0; k < kRequestsPerClient; ++k)
-      streams[c].push_back(request_for(c * 2003 + static_cast<std::uint64_t>(k)));
+      streams[c].push_back(benchutil::random_request(
+          1000 + c * 2003 + static_cast<std::uint64_t>(k), kSeq,
+          bench_config().vocab));
 
   std::uint64_t submitted = 0, shed = 0;
   double p95[2] = {0.0, 0.0};
@@ -218,23 +203,7 @@ BENCHMARK(BM_EngineMultiModel)
 
 }  // namespace
 
-// Custom main: default to writing machine-readable JSON next to the working
-// directory unless the caller already chose an output file.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strncmp(argv[i], "--benchmark_out=", 16) == 0) has_out = true;
-  static std::string out = "--benchmark_out=BENCH_serving_throughput.json";
-  static std::string fmt = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out.data());
-    args.push_back(fmt.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  return nnlut::benchutil::run_benchmarks(argc, argv,
+                                          "BENCH_serving_throughput.json");
 }

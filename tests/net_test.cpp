@@ -565,12 +565,13 @@ TEST(NetLoopback, GarbageMagicDisconnectsWithoutReply) {
   runtime::set_runtime_config({});
 }
 
-TEST(NetLoopback, ShedBeforeParseComposesWithAdmissionControl) {
-  // A bounded slot under deliberate overload, hammered through the socket:
-  // every request resolves as ok or kOverloaded (nothing hangs, nothing
-  // else), and the overload refusals decompose EXACTLY into the two
-  // backpressure layers: socket-level pre-parse sheds plus the queue's own
-  // admission rejections. completed must likewise equal the ledger's.
+// A bounded slot under deliberate overload, hammered through the socket:
+// every request resolves as ok or kOverloaded (nothing hangs, nothing
+// else), and the overload refusals decompose EXACTLY into the two
+// backpressure layers: socket-level pre-parse sheds plus the queue's own
+// admission rejections (refused arrivals under kRejectNew, evicted queued
+// requests under kRejectOldest). completed must likewise equal the ledger's.
+void expect_shed_composition(serve::ShedPolicy policy) {
   Rng rng(77);
   TaskModel model(tiny(), HeadKind::kClassify, 2, rng);
   ExactNonlinearities nl(model.config().act);
@@ -578,7 +579,7 @@ TEST(NetLoopback, ShedBeforeParseComposesWithAdmissionControl) {
   serve::SlotConfig scfg;
   scfg.max_batch = 1;  // drain one at a time: keeps the queue contended
   scfg.max_wait = std::chrono::microseconds(100);
-  scfg.admission = {/*max_queue_depth=*/1, serve::ShedPolicy::kRejectNew};
+  scfg.admission = {/*max_queue_depth=*/1, policy};
   engine.register_model("bounded", model, nl, scfg);
   TcpServer server(engine);
 
@@ -618,6 +619,14 @@ TEST(NetLoopback, ShedBeforeParseComposesWithAdmissionControl) {
                 + slot.rejected_shutdown);
   expect_net_identity(net);
   runtime::set_runtime_config({});
+}
+
+TEST(NetLoopback, ShedBeforeParseComposesWithAdmissionControl) {
+  expect_shed_composition(serve::ShedPolicy::kRejectNew);
+}
+
+TEST(NetLoopback, ShedBeforeParseComposesWithRejectOldest) {
+  expect_shed_composition(serve::ShedPolicy::kRejectOldest);
 }
 
 }  // namespace
