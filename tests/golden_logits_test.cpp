@@ -5,9 +5,14 @@
 //
 // The models are bit-built: every TaskModel::params() tensor is filled from
 // a splitmix64 stream through exact integer-to-float conversions, so no
-// libm call feeds the weights. Only the I-BERT backend runs (its kernels
-// use floor/round/sqrt, which IEEE-754 rounds exactly); ExactNonlinearities
-// is excluded because its erf/exp/tanh results differ between libms.
+// libm call feeds the weights. The I-BERT backend runs (its kernels use
+// floor/round/sqrt, which IEEE-754 rounds exactly) and so does the LUT
+// backend at FP32/FP16/INT32. Its four tables are the fitted ones, stored
+// as hex floats under tests/golden/ and parsed exactly by load_lut, so no
+// libm call runs at test time. (Bit-built tables from bit_built.h are no
+// use here: their random spec ranges turn every logit into NaN.)
+// ExactNonlinearities is excluded because its erf/exp/tanh results differ
+// between libms.
 //
 // A deliberate numeric change must update tests/golden/logits_fnv1a.txt in
 // the same diff (the failure message prints the new line) and say why in
@@ -21,12 +26,14 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
 
 #include "bit_built.h"
 #include "core/lut_kernel_simd.h"
+#include "core/serialization.h"
 #include "runtime/thread_pool.h"
 #include "transformer/infer.h"
 
@@ -96,9 +103,26 @@ const char* mode_name(MatmulMode mode) {
 
 using Key = std::tuple<std::string, std::string, std::size_t>;
 
+std::filesystem::path golden_dir() {
+  return std::filesystem::path(__FILE__).parent_path() / "golden";
+}
+
 std::filesystem::path golden_path() {
-  return std::filesystem::path(__FILE__).parent_path() / "golden" /
-         "logits_fnv1a.txt";
+  return golden_dir() / "logits_fnv1a.txt";
+}
+
+/// The fitted GELU / exp / reciprocal / 1/sqrt tables.
+LutSet golden_luts() {
+  const auto lut = [](const char* name) {
+    return load_lut((golden_dir() / name).string());
+  };
+  return {lut("gelu.lut"), lut("exp.lut"), lut("div.lut"), lut("rsqrt.lut")};
+}
+
+std::unique_ptr<NonlinearitySet> lut_backend(LutPrecision precision) {
+  LutNonlinearities::Options opt;
+  opt.act = golden_config().act;
+  return make_lut_backend(golden_luts(), precision, opt);
 }
 
 /// Lines "<backend> <mode> <seq> <16 hex digits>"; '#' starts a comment.
@@ -130,21 +154,38 @@ constexpr MatmulMode kModes[] = {MatmulMode::kFp32, MatmulMode::kFp16,
 constexpr std::size_t kSeqs[] = {1, 17, 128};
 constexpr std::size_t kBatch = 2;
 
-// Every ISA tier and pool size must reproduce the checked-in bits.
-TEST(GoldenLogits, IBertMatchesCheckedInFingerprints) {
+struct GoldenBackend {
+  const char* name;
+  std::unique_ptr<NonlinearitySet> (*make)();
+};
+
+const GoldenBackend kBackends[] = {
+    {"ibert",
+     []() -> std::unique_ptr<NonlinearitySet> {
+       return std::make_unique<IBertNonlinearities>(golden_config().act);
+     }},
+    {"lut_fp32", [] { return lut_backend(LutPrecision::kFp32); }},
+    {"lut_fp16", [] { return lut_backend(LutPrecision::kFp16); }},
+    {"lut_int32", [] { return lut_backend(LutPrecision::kInt32); }},
+};
+
+/// Every ISA tier and pool size must reproduce the checked-in bits of
+/// `backend` for every matmul mode and sequence length.
+void expect_golden(const GoldenBackend& backend) {
   const std::map<Key, std::uint64_t> golden = load_golden();
   ASSERT_FALSE(golden.empty()) << "cannot read " << golden_path();
-  EXPECT_EQ(golden.size(), std::size(kModes) * std::size(kSeqs))
+  EXPECT_EQ(golden.size(),
+            std::size(kBackends) * std::size(kModes) * std::size(kSeqs))
       << "golden file has missing or stale lines";
   const TaskModel model = golden_model();
-  IBertNonlinearities ibert(model.config().act);
+  const std::unique_ptr<NonlinearitySet> nl = backend.make();
   for (const simd::SimdTier tier : simd::available_simd_tiers()) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       runtime::set_runtime_config({threads, tier});
       for (const MatmulMode mode : kModes) {
-        InferenceModel infer(model, ibert, mode);
+        InferenceModel infer(model, *nl, mode);
         for (const std::size_t seq : kSeqs) {
-          const Key key{"ibert", mode_name(mode), seq};
+          const Key key{backend.name, mode_name(mode), seq};
           const std::uint64_t h =
               fnv1a_bits(infer.logits(golden_input(kBatch, seq)));
           const auto it = golden.find(key);
@@ -163,14 +204,32 @@ TEST(GoldenLogits, IBertMatchesCheckedInFingerprints) {
   runtime::set_runtime_config({});
 }
 
+TEST(GoldenLogits, IBertMatchesCheckedInFingerprints) {
+  expect_golden(kBackends[0]);
+}
+
+TEST(GoldenLogits, LutFp32MatchesCheckedInFingerprints) {
+  expect_golden(kBackends[1]);
+}
+
+TEST(GoldenLogits, LutFp16MatchesCheckedInFingerprints) {
+  expect_golden(kBackends[2]);
+}
+
+TEST(GoldenLogits, LutInt32MatchesCheckedInFingerprints) {
+  expect_golden(kBackends[3]);
+}
+
 TEST(GoldenLogits, BitBuiltModelIsNotDegenerate) {
   const TaskModel model = golden_model();
-  IBertNonlinearities ibert(model.config().act);
-  InferenceModel infer(model, ibert);
-  const Tensor logits = infer.logits(golden_input(kBatch, 17));
-  std::map<float, int> distinct;
-  for (const float v : logits.flat()) ++distinct[v];
-  EXPECT_GT(distinct.size(), logits.size() / 2);
+  for (const GoldenBackend& backend : {kBackends[0], kBackends[1]}) {
+    const std::unique_ptr<NonlinearitySet> nl = backend.make();
+    InferenceModel infer(model, *nl);
+    const Tensor logits = infer.logits(golden_input(kBatch, 17));
+    std::map<float, int> distinct;
+    for (const float v : logits.flat()) ++distinct[v];
+    EXPECT_GT(distinct.size(), logits.size() / 2) << backend.name;
+  }
 }
 
 }  // namespace
