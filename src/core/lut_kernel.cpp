@@ -15,8 +15,6 @@
 namespace nnlut {
 namespace {
 
-using simd::detail::fill_indices;
-using simd::detail::half_mac;
 using simd::detail::int_quantize;
 
 /// Next power of two >= entries.
@@ -55,13 +53,6 @@ void LutKernel::eval(std::span<float> xs) const {
                                     xs.data(), xs.size());
 }
 
-float LutKernel::eval_scalar(float x) const {
-  if (entries_ == 0) return x;
-  std::uint32_t k;
-  fill_indices(breakpoints_.data(), breakpoints_.size(), &x, 1, &k);
-  return slopes_[k] * x + intercepts_[k];
-}
-
 // --------------------------------------------------------- LutKernelFp16 ---
 
 LutKernelFp16::LutKernelFp16(std::span<const float> breakpoints,
@@ -90,14 +81,6 @@ void LutKernelFp16::eval(std::span<float> xs) const {
   simd::active_simd_ops().fp16_eval(breakpoints_.data(), breakpoints_.size(),
                                     slopes_.data(), intercepts_.data(),
                                     xs.data(), xs.size());
-}
-
-float LutKernelFp16::eval_scalar(float x) const {
-  if (entries_ == 0) return x;
-  const float xh = round_to_half(x);
-  std::uint32_t k;
-  fill_indices(breakpoints_.data(), breakpoints_.size(), &xh, 1, &k);
-  return half_mac(slopes_[k], xh, intercepts_[k]);
 }
 
 // -------------------------------------------------------- LutKernelInt32 ---
@@ -137,16 +120,6 @@ void LutKernelInt32::eval(std::span<float> xs) const {
                                      slopes_.data(),
                                      intercepts_.data(), sx_, ss_ * sx_,
                                      xs.data(), xs.size());
-}
-
-float LutKernelInt32::eval_scalar(float x) const {
-  if (entries_ == 0) return x;
-  const std::int32_t qx = int_quantize(x, sx_);
-  std::uint32_t k;
-  fill_indices(breakpoints_.data(), breakpoints_.size(), &qx, 1, &k);
-  const std::int64_t acc = static_cast<std::int64_t>(slopes_[k]) * qx +
-                           static_cast<std::int64_t>(intercepts_[k]);
-  return static_cast<float>(acc) * (ss_ * sx_);
 }
 
 // ---------------------------------------------------------- plan cache ---

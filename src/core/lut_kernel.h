@@ -62,9 +62,6 @@ class LutKernel {
 
   /// Batched evaluation, in place. The primitive everything else derives.
   void eval(std::span<float> xs) const;
-  /// One element through the same plan (bit-identical to eval on a
-  /// 1-element span).
-  float eval_scalar(float x) const;
 
   std::span<const float> padded_breakpoints() const { return breakpoints_; }
   std::span<const float> padded_slopes() const { return slopes_; }
@@ -90,7 +87,6 @@ class LutKernelFp16 {
   std::size_t padded_entries() const { return slopes_.size(); }
 
   void eval(std::span<float> xs) const;
-  float eval_scalar(float x) const;
 
   std::span<const float> padded_breakpoints() const { return breakpoints_; }
   std::span<const float> padded_slopes() const { return slopes_; }
@@ -121,7 +117,6 @@ class LutKernelInt32 {
   std::size_t padded_entries() const { return slopes_.size(); }
 
   void eval(std::span<float> xs) const;
-  float eval_scalar(float x) const;
 
   float input_scale() const { return sx_; }
   float output_scale() const { return ss_ * sx_; }

@@ -55,7 +55,7 @@ thread_local std::vector<unsigned char> t_ln_scaled;
 void SoftmaxApprox::operator()(std::span<float> row) const {
   if (row.empty()) return;
   const float mx = *std::max_element(row.begin(), row.end());
-  for (float& v : row) v = std::clamp(v - mx, exp_clip_.lo, exp_clip_.hi);
+  for (float& v : row) v = std::clamp(v - mx, kExpRange.lo, kExpRange.hi);
   exp_fn_->eval_inplace(row);
   float sum = 0.0f;
   for (float v : row) sum += v;
@@ -88,7 +88,7 @@ void SoftmaxApprox::rows_block(float* data, std::size_t nrows,
   // Warm-once per thread: a serving slot's blocks stop growing it after the
   // first request of its largest seq bucket.
   acc.resize(nrows);  // lint:allow hot-alloc
-  k.softmax_shift(data, nrows, ncols, exp_clip_.lo, exp_clip_.hi);
+  k.softmax_shift(data, nrows, ncols, kExpRange.lo, kExpRange.hi);
   // One EXP LUT pass over every shifted logit of every row in the block.
   exp_fn_->eval_inplace(std::span<float>(data, nrows * ncols));
   k.row_sums(data, nrows, ncols, acc.data());

@@ -1,12 +1,13 @@
-// Drop-in replacements for the transformer's non-linear operations, composed
-// from scalar approximators exactly as the paper deploys them:
-//   GELU      -> one LUT on (-5, 5)
+// Drop-in replacements for the transformer's composite non-linear
+// operations, built from scalar approximators exactly as the paper deploys
+// them (GELU needs no composition: its one LUT on (-5, 5) is a ScalarFn
+// applied elementwise):
 //   Softmax   -> EXP LUT on (x - max) plus a reciprocal ("Divide") LUT on the
 //                normalizer (Sec. 3.3.1, Table 1)
 //   LayerNorm -> exact mean/variance (MAC-array work) plus a 1/SQRT LUT with
 //                power-of-two input scaling for small variances (Sec. 3.3.2)
 //
-// All three ops are batch-granular: single-row entry points feed one span
+// Both ops are batch-granular: single-row entry points feed one span
 // through the backend's batched primitive, and the rows() entry points
 // evaluate a whole [rows x cols] block with one backend call per LUT (all
 // shifted logits through the EXP LUT at once, all row normalizers through
@@ -22,29 +23,17 @@
 
 namespace nnlut {
 
-/// Element-wise GELU replacement.
-class GeluApprox {
- public:
-  explicit GeluApprox(const ScalarFn& fn) : fn_(&fn) {}
-  void operator()(std::span<float> row) const { fn_->eval_inplace(row); }
-  float eval(float x) const { return fn_->eval(x); }
-
- private:
-  const ScalarFn* fn_;
-};
-
 /// Softmax replacement: y_i = explut(x_i - max) * reciplut(sum_j explut(...)).
 ///
-/// Inputs to the EXP LUT are clipped to `exp_clip` (default: the Table-1
-/// training range). The paper's hardware assumes inputs pre-scaled to the
-/// unit's covered range (Sec. 5.1); exp(-256) underflows FP32 anyway, so the
-/// clip changes nothing mathematically but keeps linear extrapolation of the
+/// Inputs to the EXP LUT are clipped to kExpRange, its Table-1 training
+/// range. The paper's hardware assumes inputs pre-scaled to the unit's
+/// covered range (Sec. 5.1); exp(-256) underflows FP32 anyway, so the clip
+/// changes nothing mathematically but keeps linear extrapolation of the
 /// leftmost segment from injecting garbage for extreme logits.
 class SoftmaxApprox {
  public:
-  SoftmaxApprox(const ScalarFn& exp_fn, const ScalarFn& recip_fn,
-                InputRange exp_clip = kExpRange)
-      : exp_fn_(&exp_fn), recip_fn_(&recip_fn), exp_clip_(exp_clip) {}
+  SoftmaxApprox(const ScalarFn& exp_fn, const ScalarFn& recip_fn)
+      : exp_fn_(&exp_fn), recip_fn_(&recip_fn) {}
 
   /// One row, in place.
   void operator()(std::span<float> row) const;
@@ -66,7 +55,6 @@ class SoftmaxApprox {
 
   const ScalarFn* exp_fn_;
   const ScalarFn* recip_fn_;
-  InputRange exp_clip_;
 };
 
 /// Power-of-two input scale S = 2^10 of the LayerNorm 1/SQRT LUT (Sec.

@@ -169,20 +169,6 @@ void softmax_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                         });
 }
 
-void gelu_row(std::span<float> row, int input_bits) {
-  if (row.empty()) return;
-  // The whole span shares one scale (computed serially so the result does
-  // not depend on the pool size); the elementwise integer GELU map shards.
-  const detail::RowKernels& k = row_kernels();
-  const float s = k.row_scale(row.data(), row.size(), input_bits);
-  const float budget = detail::grid_budget(input_bits);
-  const detail::GeluConsts c = detail::gelu_consts(s);
-  runtime::parallel_for(0, row.size(), runtime::grain_for(16),
-                        [&](std::size_t i0, std::size_t i1) {
-                          k.gelu_map(row.data() + i0, i1 - i0, s, budget, c);
-                        });
-}
-
 void gelu_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                int input_bits) {
   if (nrows == 0 || ncols == 0) return;

@@ -93,14 +93,10 @@ void softmax_row(std::span<float> row, int input_bits = 15, int out_bits = 30);
 void softmax_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                   int input_bits = 15, int out_bits = 30);
 
-/// Integer GELU over a span with ONE shared symmetric scale (computed
-/// serially over the whole span; the elementwise integer map is sharded).
-void gelu_row(std::span<float> row, int input_bits = 15);
-
 /// Integer GELU over `nrows` contiguous rows of length `ncols` with one
 /// scale PER ROW. Each row's result depends only on that row's content, so
-/// — unlike the whole-span gelu_row — packed multi-request batches match
-/// solo execution bit-for-bit (the serving batcher's contract).
+/// packed multi-request batches match solo execution bit-for-bit (the
+/// serving batcher's contract).
 void gelu_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                int input_bits = 15);
 

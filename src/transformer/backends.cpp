@@ -57,20 +57,11 @@ void layer_norm_exact_rows(std::span<const float> x, std::span<float> y,
 
 // ------------------------------------------------- ExactNonlinearities ----
 
-void ExactNonlinearities::activation(std::span<float> xs, int /*site*/) {
-  activation_sharded(xs, act_);
-}
-
-void ExactNonlinearities::softmax(std::span<float> row, int /*site*/) {
-  softmax_exact(row);
-}
-
-void ExactNonlinearities::layer_norm(std::span<const float> x,
-                                     std::span<float> y,
-                                     std::span<const float> gamma,
-                                     std::span<const float> beta,
-                                     int /*site*/) {
-  layer_norm_exact(x, y, gamma, beta);
+void ExactNonlinearities::activation_rows(std::span<float> data,
+                                          std::size_t /*nrows*/,
+                                          std::size_t /*ncols*/,
+                                          int /*site*/) {
+  activation_sharded(data, act_);
 }
 
 void ExactNonlinearities::softmax_rows(std::span<float> data,
@@ -101,21 +92,19 @@ LutNonlinearities::LutNonlinearities(std::unique_ptr<ScalarFn> gelu,
       rsqrt_fn_(std::move(rsqrt)),
       opt_(opt) {}
 
-void LutNonlinearities::activation(std::span<float> xs, int /*site*/) {
+void LutNonlinearities::activation_rows(std::span<float> data,
+                                        std::size_t /*nrows*/,
+                                        std::size_t /*ncols*/, int /*site*/) {
   if (opt_.select.gelu && opt_.act == ActKind::kGelu) {
     // Elementwise plan evaluation: shard sub-spans across the pool.
-    runtime::parallel_for(0, xs.size(), runtime::grain_for(8),
+    runtime::parallel_for(0, data.size(), runtime::grain_for(8),
                           [&](std::size_t i0, std::size_t i1) {
-                            gelu_fn_->eval_inplace(xs.subspan(i0, i1 - i0));
+                            gelu_fn_->eval_inplace(data.subspan(i0, i1 - i0));
                           });
     return;
   }
   // Exact fallback (including ReLU models: ReLU is not approximated).
-  activation_sharded(xs, opt_.act);
-}
-
-void LutNonlinearities::softmax(std::span<float> row, int site) {
-  softmax_rows(row, 1, row.size(), site);
+  activation_sharded(data, opt_.act);
 }
 
 void LutNonlinearities::softmax_rows(std::span<float> data, std::size_t nrows,
@@ -134,13 +123,6 @@ const ScalarFn& LutNonlinearities::rsqrt_for_site(int site) const {
     return *site_rsqrt_[static_cast<std::size_t>(site)];
   }
   return *rsqrt_fn_;
-}
-
-void LutNonlinearities::layer_norm(std::span<const float> x,
-                                   std::span<float> y,
-                                   std::span<const float> gamma,
-                                   std::span<const float> beta, int site) {
-  layer_norm_rows(x, y, 1, x.size(), gamma, beta, site);
 }
 
 void LutNonlinearities::layer_norm_rows(std::span<const float> x,
@@ -196,14 +178,6 @@ const std::vector<float>& LutNonlinearities::captured_rsqrt_inputs(
 
 // ------------------------------------------------- IBertNonlinearities ----
 
-void IBertNonlinearities::activation(std::span<float> xs, int /*site*/) {
-  if (act_ == ActKind::kGelu) {
-    ibert::gelu_row(xs);  // shared scale, sharded elementwise map
-  } else {
-    activation_sharded(xs, ActKind::kRelu);
-  }
-}
-
 void IBertNonlinearities::activation_rows(std::span<float> data,
                                           std::size_t nrows, std::size_t ncols,
                                           int /*site*/) {
@@ -212,18 +186,6 @@ void IBertNonlinearities::activation_rows(std::span<float> data,
   } else {
     activation_sharded(data, ActKind::kRelu);  // elementwise, row-agnostic
   }
-}
-
-void IBertNonlinearities::softmax(std::span<float> row, int /*site*/) {
-  ibert::softmax_row(row);
-}
-
-void IBertNonlinearities::layer_norm(std::span<const float> x,
-                                     std::span<float> y,
-                                     std::span<const float> gamma,
-                                     std::span<const float> beta,
-                                     int /*site*/) {
-  ibert::layernorm_row(x, y, gamma, beta);
 }
 
 void IBertNonlinearities::softmax_rows(std::span<float> data,

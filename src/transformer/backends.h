@@ -26,47 +26,39 @@ class NonlinearitySet {
  public:
   virtual ~NonlinearitySet() = default;
 
-  /// Elementwise activation (GELU or ReLU depending on the model) over any
-  /// contiguous span — callers should pass the whole tensor, not rows.
-  virtual void activation(std::span<float> xs, int site) = 0;
-  /// In-place softmax over one attention row.
-  virtual void softmax(std::span<float> row, int site) = 0;
-  /// LayerNorm with affine params.
-  virtual void layer_norm(std::span<const float> x, std::span<float> y,
-                          std::span<const float> gamma,
-                          std::span<const float> beta, int site) = 0;
-
-  /// In-place softmax over `nrows` contiguous rows of length `ncols` — one
-  /// backend call for a whole attention-score block. Default: row loop;
-  /// batched backends override with a plan-granular implementation.
+  /// Elementwise activation (GELU or ReLU depending on the model) over
+  /// `nrows` contiguous rows of length `ncols` (the [tokens x d_ff] FFN
+  /// block). Each row's result depends only on that row, so a packed
+  /// multi-request batch matches solo runs bit for bit (the serving
+  /// batcher's contract).
+  virtual void activation_rows(std::span<float> data, std::size_t nrows,
+                               std::size_t ncols, int site) = 0;
+  /// In-place softmax over `nrows` contiguous rows of length `ncols`: one
+  /// backend call for a whole attention-score block.
   virtual void softmax_rows(std::span<float> data, std::size_t nrows,
-                            std::size_t ncols, int site) {
-    for (std::size_t r = 0; r < nrows; ++r)
-      softmax(data.subspan(r * ncols, ncols), site);
-  }
-
-  /// LayerNorm over `nrows` contiguous rows of length `ncols`. Default: row
-  /// loop; batched backends override.
+                            std::size_t ncols, int site) = 0;
+  /// LayerNorm with affine params over `nrows` contiguous rows of length
+  /// `ncols`.
   virtual void layer_norm_rows(std::span<const float> x, std::span<float> y,
                                std::size_t nrows, std::size_t ncols,
                                std::span<const float> gamma,
-                               std::span<const float> beta, int site) {
-    for (std::size_t r = 0; r < nrows; ++r)
-      layer_norm(x.subspan(r * ncols, ncols), y.subspan(r * ncols, ncols),
-                 gamma, beta, site);
-  }
+                               std::span<const float> beta, int site) = 0;
 
-  /// Activation over `nrows` contiguous rows of length `ncols` (the
-  /// [tokens x d_ff] FFN block). Default: one whole-span activation call —
-  /// exact for elementwise backends. Backends whose activation quantizes
-  /// over a shared group MUST override with a row-granular version so
-  /// results are independent of batch composition (the serving batcher
-  /// packs requests into one tensor and relies on per-row invariance).
-  virtual void activation_rows(std::span<float> data, std::size_t nrows,
-                               std::size_t ncols, int site) {
-    (void)nrows;
-    (void)ncols;
-    activation(data, site);
+  // One-row forms: the rows entry points with nrows = 1. No backend
+  // overrides them. They stay virtual for one reason: the benchmark's timing
+  // decorator (TimedNonlinearities, bench/nnlut_bench/measure.h) declares
+  // them `override`, and that directory changes only together with the
+  // benchmark itself.
+  virtual void activation(std::span<float> xs, int site) {
+    activation_rows(xs, 1, xs.size(), site);
+  }
+  virtual void softmax(std::span<float> row, int site) {
+    softmax_rows(row, 1, row.size(), site);
+  }
+  virtual void layer_norm(std::span<const float> x, std::span<float> y,
+                          std::span<const float> gamma,
+                          std::span<const float> beta, int site) {
+    layer_norm_rows(x, y, 1, x.size(), gamma, beta, site);
   }
 };
 
@@ -76,11 +68,8 @@ class NonlinearitySet {
 class ExactNonlinearities final : public NonlinearitySet {
  public:
   explicit ExactNonlinearities(ActKind act = ActKind::kGelu) : act_(act) {}
-  void activation(std::span<float> xs, int site) override;
-  void softmax(std::span<float> row, int site) override;
-  void layer_norm(std::span<const float> x, std::span<float> y,
-                  std::span<const float> gamma, std::span<const float> beta,
-                  int site) override;
+  void activation_rows(std::span<float> data, std::size_t nrows,
+                       std::size_t ncols, int site) override;
   void softmax_rows(std::span<float> data, std::size_t nrows,
                     std::size_t ncols, int site) override;
   void layer_norm_rows(std::span<const float> x, std::span<float> y,
@@ -124,11 +113,8 @@ class LutNonlinearities final : public NonlinearitySet {
                     std::unique_ptr<ScalarFn> recip,
                     std::unique_ptr<ScalarFn> rsqrt, Options opt);
 
-  void activation(std::span<float> xs, int site) override;
-  void softmax(std::span<float> row, int site) override;
-  void layer_norm(std::span<const float> x, std::span<float> y,
-                  std::span<const float> gamma, std::span<const float> beta,
-                  int site) override;
+  void activation_rows(std::span<float> data, std::size_t nrows,
+                       std::size_t ncols, int site) override;
   void softmax_rows(std::span<float> data, std::size_t nrows,
                     std::size_t ncols, int site) override;
   void layer_norm_rows(std::span<const float> x, std::span<float> y,
@@ -163,15 +149,9 @@ class LutNonlinearities final : public NonlinearitySet {
 class IBertNonlinearities final : public NonlinearitySet {
  public:
   explicit IBertNonlinearities(ActKind act = ActKind::kGelu) : act_(act) {}
-  void activation(std::span<float> xs, int site) override;
-  /// Per-row quantization scales (ibert::gelu_rows), unlike the whole-span
-  /// activation(): batch-packing invariant, required by the serving layer.
+  /// One quantization scale per row (ibert::gelu_rows).
   void activation_rows(std::span<float> data, std::size_t nrows,
                        std::size_t ncols, int site) override;
-  void softmax(std::span<float> row, int site) override;
-  void layer_norm(std::span<const float> x, std::span<float> y,
-                  std::span<const float> gamma, std::span<const float> beta,
-                  int site) override;
   void softmax_rows(std::span<float> data, std::size_t nrows,
                     std::size_t ncols, int site) override;
   void layer_norm_rows(std::span<const float> x, std::span<float> y,

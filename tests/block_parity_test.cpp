@@ -254,7 +254,8 @@ TEST(BlockParity, IBertRowsMatchPerRow) {
           std::vector<float> block = x, rows = x;
           ibert::gelu_rows(block, nrows, ncols);
           for (std::size_t r = 0; r < nrows; ++r)
-            ibert::gelu_row(std::span<float>(rows).subspan(r * ncols, ncols));
+            ibert::gelu_rows(std::span<float>(rows).subspan(r * ncols, ncols),
+                             1, ncols);
           expect_same_bits(block, rows, "ibert gelu" + where(nrows, ncols));
         }
         {
@@ -304,7 +305,7 @@ void expect_row_matches_reference(std::span<const float> row,
   const RowGrid g = row_grid(row, 15, false);
   {
     std::vector<float> got(row.begin(), row.end()), want(n);
-    ibert::gelu_row(got);
+    ibert::gelu_rows(got, 1, n);
     for (std::size_t i = 0; i < n; ++i)
       want[i] = ibert::i_gelu({g.q[i], g.s}).value();
     expect_same_bits(got, want, "ibert gelu " + what);

@@ -155,7 +155,7 @@ TEST(GeluRow, TracksExactGelu) {
     row[i] = rng.uniform(-4.0f, 4.0f);
     expect[i] = gelu_exact(row[i]);
   }
-  gelu_row(row);
+  gelu_rows(row, 1, row.size());
   for (std::size_t i = 0; i < row.size(); ++i)
     EXPECT_NEAR(row[i], expect[i], 0.04f);
 }

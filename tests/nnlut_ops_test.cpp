@@ -155,10 +155,9 @@ TEST(LayerNormApprox, GammaBetaApplied) {
   EXPECT_NEAR(y[1], expect[1], 1e-5f);
 }
 
-TEST(GeluApprox, TrainedLutTracksGelu) {
+TEST(LutGelu, TrainedLutTracksGelu) {
   const FittedLut fit = fit_lut(TargetFn::kGelu, 16, FitPreset::kFast, 5);
-  const LutFp32 g(fit.lut);
-  const GeluApprox gelu(g);
+  const LutFp32 gelu(fit.lut);
   double worst = 0.0;
   for (float x = -5.0f; x <= 5.0f; x += 0.01f)
     worst = std::max(worst,
@@ -166,10 +165,9 @@ TEST(GeluApprox, TrainedLutTracksGelu) {
   EXPECT_LT(worst, 0.08);
 }
 
-TEST(GeluApprox, TailsExtrapolateSensibly) {
+TEST(LutGelu, TailsExtrapolateSensibly) {
   const FittedLut fit = fit_lut(TargetFn::kGelu, 16, FitPreset::kFast, 5);
-  const LutFp32 g(fit.lut);
-  const GeluApprox gelu(g);
+  const LutFp32 gelu(fit.lut);
   // Outside the training range the LUT extrapolates the outermost learned
   // segments linearly. GELU(x) ~ 0 (left) / ~ x (right); the learned edge
   // slopes keep extrapolation bounded though not exact (the paper trains and

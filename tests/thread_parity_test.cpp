@@ -335,7 +335,7 @@ TEST(IBertRegressions, NonFiniteRowsDoNotCrash) {
   for (float v : sm) EXPECT_TRUE(std::isfinite(v));
 
   std::vector<float> ge = {nan, inf, -inf, 0.5f, -0.5f};
-  ibert::gelu_row(ge);
+  ibert::gelu_rows(ge, 1, ge.size());
   for (float v : ge) EXPECT_TRUE(std::isfinite(v));
 
   std::vector<float> x = {nan, 1.0f, inf, -2.0f, 0.0f, 3.0f};
@@ -358,7 +358,7 @@ TEST(IBertRegressions, TinyMagnitudeRowsStayDefined) {
   EXPECT_NEAR(sum, 1.0f, 0.1f);
 
   std::vector<float> ge = {1e-30f, -1e-20f, 5e-25f};
-  ibert::gelu_row(ge);
+  ibert::gelu_rows(ge, 1, ge.size());
   for (float v : ge) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_NEAR(v, 0.0f, 1e-3f);  // gelu of ~0 is ~0

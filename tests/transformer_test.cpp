@@ -205,7 +205,7 @@ TEST(LutBackend, SelectionRoutesOnlyChosenOps) {
   // Softmax not selected -> exact.
   std::vector<float> row{1.0f, 2.0f, 3.0f};
   std::vector<float> expect = row;
-  backend->softmax(row, 0);
+  backend->softmax_rows(row, 1, row.size(), 0);
   softmax_exact(expect);
   for (std::size_t i = 0; i < row.size(); ++i)
     EXPECT_NEAR(row[i], expect[i], 1e-6f);
@@ -213,7 +213,7 @@ TEST(LutBackend, SelectionRoutesOnlyChosenOps) {
   // LayerNorm not selected -> exact.
   std::vector<float> x{1.0f, -1.0f, 0.5f, -0.5f};
   std::vector<float> y(4), yref(4);
-  backend->layer_norm(x, y, {}, {}, 0);
+  backend->layer_norm_rows(x, y, 1, x.size(), {}, {}, 0);
   layer_norm_exact(x, yref, {}, {});
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(y[i], yref[i], 1e-6f);
 }
@@ -230,8 +230,8 @@ TEST(LutBackend, SiteSpecificRsqrtOverrides) {
 
   std::vector<float> x{4.0f, 2.0f, -4.0f, -2.0f};
   std::vector<float> y0(4), y1(4);
-  backend->layer_norm(x, y0, {}, {}, 0);
-  backend->layer_norm(x, y1, {}, {}, 1);
+  backend->layer_norm_rows(x, y0, 1, x.size(), {}, {}, 0);
+  backend->layer_norm_rows(x, y1, 1, x.size(), {}, {}, 1);
   // Site 0 uses the shared LUT (non-zero output); site 1 the override.
   EXPECT_GT(std::abs(y0[0]), 0.1f);
   for (float v : y1) EXPECT_EQ(v, 0.0f);
@@ -246,7 +246,7 @@ TEST(LutBackend, CaptureRecordsRsqrtInputs) {
 
   std::vector<float> x{3.0f, -3.0f, 1.0f, -1.0f};  // variance 5
   std::vector<float> y(4);
-  backend->layer_norm(x, y, {}, {}, 2);
+  backend->layer_norm_rows(x, y, 1, x.size(), {}, {}, 2);
   backend->disable_rsqrt_capture();
 
   const auto& captured = backend->captured_rsqrt_inputs(2);
@@ -264,8 +264,9 @@ TEST(LutBackend, CaptureRejectsNegativeSite) {
 
   std::vector<float> x{3.0f, -3.0f, 1.0f, -1.0f};
   std::vector<float> y(4);
-  backend->layer_norm(x, y, {}, {}, 1);
-  EXPECT_THROW(backend->layer_norm(x, y, {}, {}, -1), std::invalid_argument);
+  backend->layer_norm_rows(x, y, 1, x.size(), {}, {}, 1);
+  EXPECT_THROW(backend->layer_norm_rows(x, y, 1, x.size(), {}, {}, -1),
+               std::invalid_argument);
   EXPECT_THROW(backend->layer_norm_rows(x, y, 2, 2, {}, {}, -1),
                std::invalid_argument);
   // The rejected calls leave every captured site intact.
@@ -279,7 +280,7 @@ TEST(IBertBackend, TracksExactOps) {
   std::vector<float> row(16), rref(16);
   for (std::size_t i = 0; i < row.size(); ++i)
     rref[i] = row[i] = rng.uniform(-4.0f, 4.0f);
-  ib.softmax(row, 0);
+  ib.softmax_rows(row, 1, row.size(), 0);
   softmax_exact(rref);
   for (std::size_t i = 0; i < row.size(); ++i)
     EXPECT_NEAR(row[i], rref[i], 0.01f);
@@ -287,7 +288,7 @@ TEST(IBertBackend, TracksExactOps) {
   std::vector<float> xs(32), xref(32);
   for (std::size_t i = 0; i < xs.size(); ++i)
     xref[i] = xs[i] = rng.uniform(-3.0f, 3.0f);
-  ib.activation(xs, 0);
+  ib.activation_rows(xs, 1, xs.size(), 0);
   for (std::size_t i = 0; i < xs.size(); ++i)
     EXPECT_NEAR(xs[i], gelu_exact(xref[i]), 0.03f);
 }
@@ -295,7 +296,7 @@ TEST(IBertBackend, TracksExactOps) {
 TEST(IBertBackend, ReluModelsKeepReluExact) {
   IBertNonlinearities ib(ActKind::kRelu);
   std::vector<float> xs{-2.0f, 3.0f};
-  ib.activation(xs, 0);
+  ib.activation_rows(xs, 1, xs.size(), 0);
   EXPECT_EQ(xs[0], 0.0f);
   EXPECT_EQ(xs[1], 3.0f);
 }
