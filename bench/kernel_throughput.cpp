@@ -572,8 +572,6 @@ int main(int argc, char** argv) {
   namespace simd = nnlut::simd;
   benchmark::AddCustomContext("simd_auto",
                               simd::simd_tier_name(simd::auto_simd_tier()));
-  benchmark::AddCustomContext("simd_vnni",
-                              simd::has_avx512vnni() ? "1" : "0");
   register_tier_benchmarks();
   register_block_benchmarks();
   return nnlut::benchutil::run_benchmarks(argc, argv,

@@ -13,6 +13,32 @@
 #include "numerics/half.h"
 
 namespace nnlut {
+
+namespace simd {
+// Per-tier plan evaluators, each defined in its own -m flagged TU. Every
+// entry point evaluates a whole span in place; `nb` is the padded
+// breakpoint count (padded_entries - 1). The FP16 entry takes the FP32
+// images of the plan's half-rounded constants (half -> float is exact) and
+// rounds every intermediate through binary16.
+#ifdef NNLUT_HAVE_AVX2
+void avx2_fp32_eval(const float*, std::size_t, const float*, const float*,
+                    float*, std::size_t);
+void avx2_fp16_eval(const float*, std::size_t, const float*, const float*,
+                    float*, std::size_t);
+void avx2_int32_eval(const std::int32_t*, std::size_t, const std::int32_t*,
+                     const std::int32_t*, float, float, float*, std::size_t);
+#endif
+#ifdef NNLUT_HAVE_AVX512
+void avx512_fp32_eval(const float*, std::size_t, const float*, const float*,
+                      float*, std::size_t);
+void avx512_fp16_eval(const float*, std::size_t, const float*, const float*,
+                      float*, std::size_t);
+void avx512_int32_eval(const std::int32_t*, std::size_t, const std::int32_t*,
+                       const std::int32_t*, float, float, float*,
+                       std::size_t);
+#endif
+}  // namespace simd
+
 namespace {
 
 using simd::detail::int_quantize;
@@ -46,11 +72,26 @@ LutKernel::LutKernel(std::span<const float> breakpoints,
 
 void LutKernel::eval(std::span<float> xs) const {
   if (entries_ == 0 || xs.empty()) return;
-  // One indirect call per span through the runtime-selected ISA tier; every
-  // tier is bit-identical (core/lut_kernel_simd.h).
-  simd::active_simd_ops().fp32_eval(breakpoints_.data(), breakpoints_.size(),
-                                    slopes_.data(), intercepts_.data(),
-                                    xs.data(), xs.size());
+  // One call per span into the active ISA tier; every tier is
+  // bit-identical (core/lut_kernel_simd.h).
+  const float* bp = breakpoints_.data();
+  const std::size_t nb = breakpoints_.size();
+  switch (simd::active_simd_tier()) {
+#ifdef NNLUT_HAVE_AVX512
+    case simd::SimdTier::kAvx512:
+      return simd::avx512_fp32_eval(bp, nb, slopes_.data(),
+                                    intercepts_.data(), xs.data(), xs.size());
+#endif
+#ifdef NNLUT_HAVE_AVX2
+    case simd::SimdTier::kAvx2:
+      return simd::avx2_fp32_eval(bp, nb, slopes_.data(), intercepts_.data(),
+                                  xs.data(), xs.size());
+#endif
+    default:
+      return simd::detail::scalar_fp32_eval(bp, nb, slopes_.data(),
+                                            intercepts_.data(), xs.data(),
+                                            xs.size());
+  }
 }
 
 // --------------------------------------------------------- LutKernelFp16 ---
@@ -74,13 +115,28 @@ LutKernelFp16::LutKernelFp16(std::span<const float> breakpoints,
 
 void LutKernelFp16::eval(std::span<float> xs) const {
   if (entries_ == 0 || xs.empty()) return;
-  // Same tier dispatch as the FP32 plan; the tier's fp16_eval entry rounds
-  // inputs and every MAC intermediate through binary16 (F16C / AVX-512
-  // vcvtps2ph round-trips on the wide tiers, numerics/half.h when scalar —
-  // bit-identical either way).
-  simd::active_simd_ops().fp16_eval(breakpoints_.data(), breakpoints_.size(),
-                                    slopes_.data(), intercepts_.data(),
-                                    xs.data(), xs.size());
+  // Same tier dispatch as the FP32 plan; every tier rounds inputs and each
+  // MAC intermediate through binary16 (F16C / AVX-512 vcvtps2ph round-trips
+  // on the wide tiers, numerics/half.h when scalar — bit-identical either
+  // way).
+  const float* bp = breakpoints_.data();
+  const std::size_t nb = breakpoints_.size();
+  switch (simd::active_simd_tier()) {
+#ifdef NNLUT_HAVE_AVX512
+    case simd::SimdTier::kAvx512:
+      return simd::avx512_fp16_eval(bp, nb, slopes_.data(),
+                                    intercepts_.data(), xs.data(), xs.size());
+#endif
+#ifdef NNLUT_HAVE_AVX2
+    case simd::SimdTier::kAvx2:
+      return simd::avx2_fp16_eval(bp, nb, slopes_.data(), intercepts_.data(),
+                                  xs.data(), xs.size());
+#endif
+    default:
+      return simd::detail::scalar_fp16_eval(bp, nb, slopes_.data(),
+                                            intercepts_.data(), xs.data(),
+                                            xs.size());
+  }
 }
 
 // -------------------------------------------------------- LutKernelInt32 ---
@@ -116,10 +172,26 @@ LutKernelInt32::LutKernelInt32(std::span<const float> breakpoints,
 
 void LutKernelInt32::eval(std::span<float> xs) const {
   if (entries_ == 0 || xs.empty()) return;
-  simd::active_simd_ops().int32_eval(breakpoints_.data(), breakpoints_.size(),
-                                     slopes_.data(),
-                                     intercepts_.data(), sx_, ss_ * sx_,
-                                     xs.data(), xs.size());
+  const std::int32_t* bp = breakpoints_.data();
+  const std::size_t nb = breakpoints_.size();
+  const float so = ss_ * sx_;
+  switch (simd::active_simd_tier()) {
+#ifdef NNLUT_HAVE_AVX512
+    case simd::SimdTier::kAvx512:
+      return simd::avx512_int32_eval(bp, nb, slopes_.data(),
+                                     intercepts_.data(), sx_, so, xs.data(),
+                                     xs.size());
+#endif
+#ifdef NNLUT_HAVE_AVX2
+    case simd::SimdTier::kAvx2:
+      return simd::avx2_int32_eval(bp, nb, slopes_.data(), intercepts_.data(),
+                                   sx_, so, xs.data(), xs.size());
+#endif
+    default:
+      return simd::detail::scalar_int32_eval(bp, nb, slopes_.data(),
+                                             intercepts_.data(), sx_, so,
+                                             xs.data(), xs.size());
+  }
 }
 
 // ---------------------------------------------------------- plan cache ---

@@ -16,10 +16,10 @@
 // tail, which replicates the last real segment) and +/-inf, so plan
 // evaluation is bit-identical to the per-element reference path.
 //
-// FP32, FP16 and INT32 plan evaluation all dispatch through the
-// runtime-selected SIMD tier (core/lut_kernel_simd.h): scalar, AVX2+F16C,
-// AVX-512, or AVX-512+VNNI, chosen once from CPUID and overridable via
-// NNLUT_SIMD_TIER / set_simd_tier. Every tier performs the identical IEEE
+// FP32, FP16 and INT32 plan evaluation all switch on the runtime-selected
+// SIMD tier (core/lut_kernel_simd.h): scalar, AVX2+F16C or AVX-512F+DQ,
+// chosen once from CPUID and overridable via NNLUT_SIMD_TIER /
+// set_simd_tier. Every tier performs the identical IEEE
 // operation sequence, so results are bit-identical across tiers; plan
 // arrays are allocated on 64-byte boundaries (core/aligned_alloc.h) so a
 // padded comparator bank is loaded with aligned full-register table loads.

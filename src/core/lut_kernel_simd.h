@@ -12,12 +12,14 @@
 //
 // Dispatch model:
 //   - the ISA tier is resolved ONCE at first use from CPUID
-//     (__builtin_cpu_supports) — scalar < AVX2+F16C < AVX-512F+DQ <
-//     AVX-512F+DQ+VNNI — and installed behind an atomic pointer that
-//     LutKernel::eval reads per call;
-//   - `NNLUT_SIMD_TIER=scalar|avx2|avx512|avx512vnni` caps the automatic
-//     choice at a named tier. It only *lowers* the tier — it can never
-//     select an ISA the CPU does not have;
+//     (__builtin_cpu_supports) — scalar < AVX2+F16C < AVX-512F+DQ — and
+//     installed as one atomic tier that every kernel family (the LUT
+//     plans, GEMM, the I-BERT rows, the LUT row passes) reads per call and
+//     `switch`es on;
+//   - `NNLUT_SIMD_TIER=scalar|avx2|avx512` caps the automatic choice at a
+//     named tier. It only *lowers* the tier — it can never select an ISA
+//     the CPU does not have — and an unknown name is warned about and
+//     ignored;
 //   - `set_simd_tier` is the programmatic override (tests, RuntimeConfig):
 //     forcing a tier above the detected one throws (the message names the
 //     available set), `std::nullopt` restores the automatic choice.
@@ -41,16 +43,8 @@
 // F16C: the I-BERT row kernels (ibert/ibert_row_kernel.h) run on its
 // 64-bit lane multiply and int64 <-> float conversions. Every AVX-512 CPU
 // except Xeon Phi has DQ.
-//
-// The avx512vnni tier differs from avx512 only in the INT32 MAC: when a
-// compiled table provably fits the int16-pair contract, q_s*q_x + q_t runs
-// as one vpdpwssd per vector; otherwise (and for any vector whose
-// quantized inputs overflow int16) it falls back to the exact int64 chain,
-// so results stay bit-identical either way.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -59,16 +53,14 @@
 namespace nnlut::simd {
 
 /// ISA tiers in strictly increasing capability; ordering comparisons are
-/// meaningful (a CPU supporting a tier supports all lower tiers —
-/// avx512vnni implies avx512f).
+/// meaningful (a CPU supporting a tier supports all lower tiers).
 enum class SimdTier : int {
   kScalar = 0,
   kAvx2 = 1,
   kAvx512 = 2,
-  kAvx512Vnni = 3,
 };
 
-/// "scalar" | "avx2" | "avx512" | "avx512vnni".
+/// "scalar" | "avx2" | "avx512".
 const char* simd_tier_name(SimdTier tier);
 
 /// Comma-separated names of every tier this process can run (the
@@ -91,44 +83,19 @@ std::vector<SimdTier> available_simd_tiers();
 /// NNLUT_SIMD_TIER environment variable (read once).
 SimdTier auto_simd_tier();
 
-/// Tier of the currently installed kernel table.
+/// The installed tier, which every kernel family dispatches on per call.
+/// Resolves the automatic tier on first use.
 SimdTier active_simd_tier();
 
 /// Force a tier (tests, benches, RuntimeConfig::simd). Throws
 /// std::invalid_argument naming the available tier set if `tier` exceeds
 /// detected_simd_tier(). std::nullopt restores automatic selection.
-/// Thread-safe; kernels already executing finish on the table they loaded.
+/// Thread-safe; kernels already executing finish on the tier they read.
 void set_simd_tier(std::optional<SimdTier> tier);
-
-/// True when this build carries the VNNI INT32 MAC and the CPU reports
-/// avx512f, avx512dq and avx512vnni — i.e. the avx512vnni tier is
-/// detectable here.
-bool has_avx512vnni();
 
 /// Pure form of the environment policy, exposed for tests: the tier cap
 /// implied by an NNLUT_SIMD_TIER value, clamped to `detected`. nullptr
 /// means the variable is unset; an unknown name leaves `detected`.
 SimdTier env_capped_tier(const char* tier_name, SimdTier detected);
-
-/// One per-tier kernel table. Every entry point evaluates a whole span in
-/// place through a compiled plan; `nb` is the padded breakpoint count
-/// (padded_entries - 1). The FP16 entry takes the FP32 images of the plan's
-/// half-rounded constants (half -> float is exact) and rounds every
-/// intermediate through binary16.
-struct SimdKernelOps {
-  SimdTier tier;
-  void (*fp32_eval)(const float* bp, std::size_t nb, const float* slopes,
-                    const float* intercepts, float* xs, std::size_t n);
-  void (*fp16_eval)(const float* bp, std::size_t nb, const float* slopes,
-                    const float* intercepts, float* xs, std::size_t n);
-  void (*int32_eval)(const std::int32_t* bp, std::size_t nb,
-                     const std::int32_t* slopes,
-                     const std::int32_t* intercepts, float input_scale,
-                     float output_scale, float* xs, std::size_t n);
-};
-
-/// The installed kernel table (the LutKernel::eval dispatch pointer).
-/// Resolves the automatic tier on first use.
-const SimdKernelOps& active_simd_ops();
 
 }  // namespace nnlut::simd

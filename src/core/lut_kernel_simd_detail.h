@@ -1,8 +1,8 @@
 // Shared scalar building blocks of the LUT plan evaluators.
 //
-// Included by the precision kernels (core/lut_kernel.cpp), the scalar
-// dispatch tier, and the AVX2/AVX-512 translation units (which run these
-// loops on sub-vector tails). Everything here has INTERNAL linkage on
+// Included by the precision kernels (core/lut_kernel.cpp, which also runs
+// them as the scalar tier) and the AVX2/AVX-512 translation units (which
+// run these loops on sub-vector tails). Everything here has INTERNAL linkage on
 // purpose: the SIMD TUs are compiled with -mavx2 / -mavx512f, and if these
 // helpers had external linkage the linker could keep the copy containing
 // AVX instructions and hand it to generic TUs — an illegal-instruction trap
@@ -60,22 +60,6 @@ static inline void fill_indices(const T* bp, std::size_t nb, const X* xs,
 /// already be binary16 values (exact in FP32).
 [[maybe_unused]] static inline float half_mac(float s, float xh, float t) {
   return round_to_half(round_to_half(s * xh) + t);
-}
-
-/// True when the INT32 MAC of this padded table provably fits the VNNI
-/// int16-pair contract for every representable quantized input: every
-/// slope fits int16 and |q_s| * 2^15 + |q_t| stays within int32 (the
-/// quantized input is range-checked per vector at run time — it must
-/// itself fit int16, giving |q_x| <= 2^15). Tables failing this keep the
-/// exact int64 MAC.
-[[maybe_unused]] static inline bool int32_mac_fits_int16_pairs(
-    const std::int32_t* s, const std::int32_t* t, std::size_t padded) {
-  for (std::size_t e = 0; e < padded; ++e) {
-    const std::int64_t as = s[e] < 0 ? -static_cast<std::int64_t>(s[e]) : s[e];
-    const std::int64_t at = t[e] < 0 ? -static_cast<std::int64_t>(t[e]) : t[e];
-    if (as > 32767 || as * 32768 + at > 2147483647) return false;
-  }
-  return true;
 }
 
 /// FP32 plan evaluation, scalar reference shape: blockwise index fill, then

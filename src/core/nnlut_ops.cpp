@@ -25,12 +25,10 @@ constexpr detail::LutRowKernels kBaselineRowKernels{
     &detail::softmax_shift, &detail::row_sums, &detail::scale_rows,
     &detail::moments_rows, &detail::affine_rows};
 
-/// The row passes of the active SIMD tier. The avx512vnni tier shares the
-/// AVX-512 build; avx2 runs the baseline one.
+/// The row passes of the active SIMD tier; avx2 runs the baseline build.
 const detail::LutRowKernels& row_kernels() {
   switch (simd::active_simd_tier()) {
 #ifdef NNLUT_HAVE_AVX512
-    case simd::SimdTier::kAvx512Vnni:
     case simd::SimdTier::kAvx512:
       return detail::lut_row_kernels_avx512();
 #endif

@@ -117,13 +117,12 @@ const detail::RowKernels& row_kernels_avx512();
 #endif
 
 namespace {
-/// The row bodies of the active SIMD tier. The avx512vnni tier shares the
-/// AVX-512 instantiation; avx2 lacks 64-bit lane multiplies and int64
-/// conversions, so it runs the baseline one.
+/// The row bodies of the active SIMD tier. avx2 lacks 64-bit lane
+/// multiplies and int64 conversions, so it runs the baseline
+/// instantiation.
 const detail::RowKernels& row_kernels() {
   switch (simd::active_simd_tier()) {
 #ifdef NNLUT_HAVE_AVX512
-    case simd::SimdTier::kAvx512Vnni:
     case simd::SimdTier::kAvx512:
       return row_kernels_avx512();
 #endif

@@ -79,9 +79,9 @@ int i_sqrt_iterations(std::int64_t n, int max_iter = 20);
 //
 // The row bodies (ibert/ibert_row_kernel.h) are plain C++ instantiated per
 // SIMD tier and dispatched on simd::active_simd_tier(), so NNLUT_SIMD_TIER
-// and RuntimeConfig::simd pin them: the avx512 and avx512vnni tiers run an
-// AVX-512F+DQ build (eight int64 lanes per register), scalar and avx2 the
-// portable baseline. Every tier produces the bits of the scalar reference
+// and RuntimeConfig::simd pin them: the avx512 tier runs an AVX-512F+DQ
+// build (eight int64 lanes per register), scalar and avx2 the portable
+// baseline. Every tier produces the bits of the scalar reference
 // functions above.
 // ---------------------------------------------------------------------------
 

@@ -73,9 +73,8 @@ class FunctionRef<R(Args...)> {
 /// resizing its budget): in-flight kernels keep a handle on the pool they
 /// started on and drain there; subsequent kernels see the new pool.
 ///
-/// `simd` pins the LUT-kernel ISA tier (scalar / AVX2 / AVX-512 /
-/// AVX-512+VNNI) for the
-/// whole process; nullopt restores automatic CPUID + environment selection
+/// `simd` pins the ISA tier (scalar / AVX2 / AVX-512) of every kernel
+/// family for the whole process; nullopt restores automatic CPUID + environment selection
 /// (core/lut_kernel_simd.h). The two knobs compose as "shards across
 /// cores, wide lanes within a shard": parallel_for splits rows over the
 /// pool and each shard evaluates its block through the selected SIMD tier.

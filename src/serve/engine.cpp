@@ -284,8 +284,6 @@ PendingResult Engine::submit(std::string_view model_id,
   // Validation first, so a malformed request never occupies a queue slot
   // and never triggers shedding.
   try {
-    if (in.batch == 0 || in.seq == 0)
-      throw std::invalid_argument("serve: empty request (batch or seq is 0)");
     slot->model.validate(in);
   } catch (...) {
     slot->ledger.record_rejected_validation();

@@ -25,7 +25,6 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
           std::size_t ldc, GemmMode mode) {
   switch (simd::active_simd_tier()) {
 #ifdef NNLUT_HAVE_AVX512
-    case simd::SimdTier::kAvx512Vnni:
     case simd::SimdTier::kAvx512:
       return gemm_avx512(m, n, k, a, lda, b, ldb, c, ldc, mode);
 #endif

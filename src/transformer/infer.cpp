@@ -129,6 +129,11 @@ void InferenceModel::norm_rows(const Tensor& x, Tensor& y,
 
 void InferenceModel::validate(const BatchInput& in) const {
   const Encoder& enc = model_->encoder;
+  // An empty request has no rows for a head to read: a classification head
+  // would take row 0 of a 0-row hidden state.
+  if (in.batch == 0 || in.seq == 0)
+    throw std::invalid_argument(
+        "InferenceModel::encode: empty request (batch or seq is 0)");
   if (in.token_ids.size() != in.batch * in.seq)
     throw std::invalid_argument("InferenceModel::encode: bad batch shape");
 

@@ -51,13 +51,14 @@ class InferenceModel {
   Tensor encode(const BatchInput& in, Workspace& ws);
 
   /// All input checks encode() performs, without running the model: throws
-  /// std::invalid_argument on shape mismatches and std::out_of_range on
-  /// token/type ids outside the embedding tables or seq beyond the position
-  /// table. The serving layer pre-validates each request with this so a
-  /// malformed submission rejects alone instead of poisoning its batch;
-  /// it is const and touches only this model's tables, so every Engine
-  /// ModelSlot validates concurrently on client threads against its own
-  /// InferenceModel with no shared state.
+  /// std::invalid_argument on an empty request (batch or seq 0) and on
+  /// shape mismatches, and std::out_of_range on token/type ids outside the
+  /// embedding tables or seq beyond the position table. The serving layer
+  /// pre-validates each request with this so a malformed submission
+  /// rejects alone instead of poisoning its batch; it is const and touches
+  /// only this model's tables, so every Engine ModelSlot validates
+  /// concurrently on client threads against its own InferenceModel with no
+  /// shared state.
   void validate(const BatchInput& in) const;
 
   /// Site id of the embedding LayerNorm.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "approx/linear_lut.h"
@@ -159,6 +160,27 @@ TEST(InferenceModel, SpanHeadParity) {
   ExactNonlinearities exact(m.config().act);
   InferenceModel infer(m, exact, MatmulMode::kFp32);
   EXPECT_LT(max_diff(train_logits, infer.logits(in)), 1e-4);
+}
+
+TEST(InferenceModel, RejectsEmptyRequests) {
+  Rng rng(12);
+  TaskModel m(tiny_config(), HeadKind::kClassify, 2, rng);
+  ExactNonlinearities exact(m.config().act);
+  InferenceModel infer(m, exact, MatmulMode::kFp32);
+  // Warm the workspace first: an empty request that got through would read
+  // this request's activations as its own.
+  Workspace ws;
+  (void)infer.logits(random_batch(m.config(), 1, 8, rng), ws);
+  for (const auto& [batch, seq] :
+       {std::pair<std::size_t, std::size_t>{1, 0}, {0, 4}}) {
+    BatchInput in;
+    in.batch = batch;
+    in.seq = seq;
+    EXPECT_THROW(infer.validate(in), std::invalid_argument)
+        << "batch=" << batch << " seq=" << seq;
+    EXPECT_THROW(infer.logits(in, ws), std::invalid_argument)
+        << "batch=" << batch << " seq=" << seq;
+  }
 }
 
 TEST(InferenceModel, Fp16ModeStaysClose) {

@@ -381,9 +381,10 @@ RULE_FIXTURES = {
                      "no_wallclock_net_scope"],
     "no-unordered-iter": ["no_unordered_iter"],
     "no-fp-contract": ["no_fp_contract"],
-    # The _wide twin models the layered TU -> width-common-header -> scalar
-    # detail arrangement of the VNNI TU: a literal shared only with
-    # the width-specific common header must still fire.
+    # The _wide twin models a layered TU -> width-common-header -> scalar
+    # detail arrangement (several tier TUs of one width sharing a header):
+    # a literal shared only with the width-specific common header must
+    # still fire.
     "simd-literal-parity": ["simd_literal_parity", "simd_literal_parity_wide"],
     "no-hot-alloc": ["no_hot_alloc"],
     "raw-sync-primitive": ["raw_sync"],
