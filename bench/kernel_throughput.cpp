@@ -144,7 +144,7 @@ void BM_SoftmaxIbert(benchmark::State& state) {
   std::vector<float> buf = xs;
   for (auto _ : state) {
     buf = xs;
-    ibert::softmax_row(buf);
+    ibert::softmax_rows(buf, 1, buf.size());
     benchmark::DoNotOptimize(buf.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -179,7 +179,7 @@ void BM_LayerNormIbert(benchmark::State& state) {
   auto xs = activation_stream(768, -2, 2);
   std::vector<float> out(xs.size());
   for (auto _ : state) {
-    ibert::layernorm_row(xs, out, {}, {});
+    ibert::layernorm_rows(xs, out, 1, xs.size(), {}, {});
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 768);

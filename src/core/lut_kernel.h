@@ -34,7 +34,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -138,24 +137,13 @@ class LutKernelInt32 {
   float ss_ = 1.0f;  // slope scale
 };
 
-// ---------------------------------------------------------- plan cache ---
-
-/// Compile an FP32 plan through the process-wide content-addressed cache:
-/// calibrated per-site LUTs mostly share identical tables, and bitwise-equal
-/// (breakpoints, slopes, intercepts) triples map to one shared immutable
-/// plan. The cache holds weak references — a plan is freed once the last
-/// table using it is destroyed. Thread-safe.
-std::shared_ptr<const LutKernel> compile_plan_cached(
-    std::span<const float> breakpoints, std::span<const float> slopes,
-    std::span<const float> intercepts);
-
-/// Counters for the plan cache (process lifetime; tests assert deltas).
+/// Number of tables compiled in this process: the PiecewiseLinear
+/// constructor counts one per table, and copies count none. Defined in
+/// core/piecewise_linear.cpp. The name and the `misses` field survive from a
+/// removed plan cache only because the repository benchmark reads
+/// plan_cache_stats().misses.
 struct PlanCacheStats {
-  std::size_t hits = 0;    // lookups that reused a live plan
-  std::size_t misses = 0;  // lookups that compiled a new plan
-  std::size_t live = 0;    // cached plans still referenced somewhere
-  std::size_t cached = 0;  // cache entries held, incl. expired ones awaiting
-                           // the periodic sweep (bounded by live + period)
+  std::size_t misses = 0;
 };
 PlanCacheStats plan_cache_stats();
 

@@ -1,10 +1,20 @@
 #include "core/piecewise_linear.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
 namespace nnlut {
+
+namespace {
+// Tables compiled so far; a statistic only, so relaxed ordering suffices.
+std::atomic<std::size_t> g_compiled_tables{0};
+}  // namespace
+
+PlanCacheStats plan_cache_stats() {
+  return {g_compiled_tables.load(std::memory_order_relaxed)};
+}
 
 PiecewiseLinear::PiecewiseLinear(std::vector<float> breakpoints,
                                  std::vector<float> slopes,
@@ -27,12 +37,8 @@ PiecewiseLinear::PiecewiseLinear(std::vector<float> breakpoints,
       throw std::invalid_argument(
           "PiecewiseLinear: breakpoints must be strictly ascending");
   }
-  kernel_ = compile_plan_cached(breakpoints_, slopes_, intercepts_);
-}
-
-const LutKernel& PiecewiseLinear::kernel() const {
-  static const LutKernel empty;  // default-constructed tables have no plan
-  return kernel_ ? *kernel_ : empty;
+  kernel_ = LutKernel(breakpoints_, slopes_, intercepts_);
+  g_compiled_tables.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t PiecewiseLinear::segment_index(float x) const {
@@ -48,7 +54,7 @@ float PiecewiseLinear::operator()(float x) const {
 }
 
 void PiecewiseLinear::eval_inplace(std::span<float> xs) const {
-  if (kernel_) kernel_->eval(xs);
+  kernel_.eval(xs);
 }
 
 }  // namespace nnlut

@@ -8,7 +8,7 @@
 // breakpoints. In hardware this is one comparator bank, one table read, one
 // multiply and one add — the same unit serves any scalar function.
 //
-// Construction compiles the table into an immutable SoA evaluation plan
+// Construction compiles the table into an SoA evaluation plan the table owns
 // (core/lut_kernel.h); batched evaluation through the plan is the primitive,
 // bit-identical to the per-element reference operator().
 #pragma once
@@ -48,15 +48,15 @@ class PiecewiseLinear {
   /// Evaluate over a batch, in place, through the compiled plan.
   void eval_inplace(std::span<float> xs) const;
 
-  /// The compiled SoA evaluation plan (obtained at construction from the
-  /// process-wide plan cache; tables with identical content share one plan).
-  const LutKernel& kernel() const;
+  /// The compiled SoA evaluation plan, built by the constructor and owned
+  /// by this table (copies carry their own).
+  const LutKernel& kernel() const { return kernel_; }
 
  private:
   std::vector<float> breakpoints_;  // N-1, strictly ascending
   std::vector<float> slopes_;       // N
   std::vector<float> intercepts_;   // N
-  std::shared_ptr<const LutKernel> kernel_;
+  LutKernel kernel_;
 };
 
 }  // namespace nnlut

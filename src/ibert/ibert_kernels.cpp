@@ -145,13 +145,6 @@ std::int64_t* scratch(std::vector<std::int64_t>& v, std::size_t n) {
 }
 }  // namespace
 
-void softmax_row(std::span<float> row, int input_bits, int out_bits) {
-  if (row.empty()) return;
-  row_kernels().softmax(row.data(), row.size(),
-                        scratch(t_softmax_scratch, row.size()), input_bits,
-                        out_bits);
-}
-
 void softmax_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                   int input_bits, int out_bits) {
   assert(data.size() == nrows * ncols);
@@ -183,17 +176,6 @@ void gelu_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                                        detail::gelu_consts(s));
                           }
                         });
-}
-
-void layernorm_row(std::span<const float> x, std::span<float> y,
-                   std::span<const float> gamma, std::span<const float> beta,
-                   int input_bits) {
-  assert(x.size() == y.size());
-  if (x.empty()) return;
-  row_kernels().layernorm(x.data(), y.data(), x.size(),
-                          gamma.empty() ? nullptr : gamma.data(),
-                          beta.empty() ? nullptr : beta.data(),
-                          scratch(t_layernorm_scratch, x.size()), input_bits);
 }
 
 void layernorm_rows(std::span<const float> x, std::span<float> y,

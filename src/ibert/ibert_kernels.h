@@ -85,11 +85,9 @@ int i_sqrt_iterations(std::int64_t n, int max_iter = 20);
 // functions above.
 // ---------------------------------------------------------------------------
 
-/// Integer softmax (I-BERT Alg. 3): subtract integer max, i_exp each entry,
-/// normalize by the integer sum with a 2^bits fixed-point reciprocal.
-void softmax_row(std::span<float> row, int input_bits = 15, int out_bits = 30);
-
-/// Integer softmax over `nrows` contiguous rows of length `ncols`.
+/// Integer softmax (I-BERT Alg. 3) over `nrows` contiguous rows of length
+/// `ncols`: subtract the integer row max, i_exp each entry, normalize by the
+/// integer sum with a 2^bits fixed-point reciprocal.
 void softmax_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                   int input_bits = 15, int out_bits = 30);
 
@@ -100,14 +98,10 @@ void softmax_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
 void gelu_rows(std::span<float> data, std::size_t nrows, std::size_t ncols,
                int input_bits = 15);
 
-/// Integer LayerNorm: integer mean/variance, i_sqrt for the standard
-/// deviation, fixed-point reciprocal multiply; gamma/beta folded in after
-/// dequantization (they are channelwise affine constants).
-void layernorm_row(std::span<const float> x, std::span<float> y,
-                   std::span<const float> gamma, std::span<const float> beta,
-                   int input_bits = 15);
-
-/// Integer LayerNorm over `nrows` contiguous rows of length `ncols`.
+/// Integer LayerNorm over `nrows` contiguous rows of length `ncols`:
+/// integer mean/variance, i_sqrt for the standard deviation, fixed-point
+/// reciprocal multiply; gamma/beta folded in after dequantization (they are
+/// channelwise affine constants).
 void layernorm_rows(std::span<const float> x, std::span<float> y,
                     std::size_t nrows, std::size_t ncols,
                     std::span<const float> gamma, std::span<const float> beta,

@@ -2,12 +2,12 @@
 //
 // The serving stack keeps its counters where they are cheap to record —
 // StatsLedger under its own mutex, BufferPool counters under the pool
-// mutex, the plan cache and thread pool under theirs. MetricsRegistry does
-// NOT duplicate that state; it is a pull-model directory of instruments:
-// each registered series carries a callback that reads the live value at
-// scrape() time. One scrape therefore yields one coherent text page across
-// slots, pools, the thread pool, the plan cache and the tracer, without
-// adding a single instruction to any hot path.
+// mutex, the thread pool under its own. MetricsRegistry does NOT duplicate
+// that state; it is a pull-model directory of instruments: each registered
+// series carries a callback that reads the live value at scrape() time. One
+// scrape therefore yields one coherent text page across slots, pools, the
+// thread pool and the tracer, without adding a single instruction to any
+// hot path.
 //
 // Exposition follows the Prometheus text format (# HELP / # TYPE lines,
 // `name{label="value"} value` series, histogram `_bucket`/`_sum`/`_count`

@@ -5,7 +5,6 @@
 #include <string_view>
 #include <utility>
 
-#include "core/lut_kernel.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
 
@@ -206,23 +205,6 @@ void Engine::register_process_metrics() {
         MutexLock lk(unknown_mu_);
         return rejected_unknown_model_;
       });
-  metrics_.add_counter("nnlut_plan_cache_hits_total",
-                       "LUT plan-cache lookups that reused a live plan.",
-                       Labels{},
-                       [] { return std::uint64_t{plan_cache_stats().hits}; });
-  metrics_.add_counter("nnlut_plan_cache_misses_total",
-                       "LUT plan-cache lookups that compiled a new plan.",
-                       Labels{},
-                       [] { return std::uint64_t{plan_cache_stats().misses}; });
-  metrics_.add_gauge("nnlut_plan_cache_live", "Cached plans still referenced.",
-                     Labels{}, [] {
-                       return static_cast<double>(plan_cache_stats().live);
-                     });
-  metrics_.add_gauge("nnlut_plan_cache_entries",
-                     "Plan-cache entries held (incl. expired awaiting sweep).",
-                     Labels{}, [] {
-                       return static_cast<double>(plan_cache_stats().cached);
-                     });
   metrics_.add_counter(
       "nnlut_threadpool_jobs_total",
       "Parallel jobs dispatched through the process thread pool.", Labels{},

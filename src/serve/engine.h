@@ -122,7 +122,7 @@ class Engine {
   /// Prometheus text exposition of every registered instrument, evaluated
   /// at call time: per-slot serving counters, queue depths, stage-latency
   /// histograms and pool counters (model="<id>" labels), plus process-wide
-  /// plan-cache, thread-pool and tracer series. See docs/OBSERVABILITY.md.
+  /// thread-pool and tracer series. See docs/OBSERVABILITY.md.
   std::string scrape() const { return metrics_.scrape(); }
   /// The engine's registry, for embedders that want to hang extra
   /// instruments onto the same scrape page.
@@ -166,8 +166,8 @@ class Engine {
   /// register_model; callbacks capture the ModelSlot*, which stays valid
   /// for the engine's lifetime since slots are never erased).
   void register_slot_metrics(ModelSlot* slot);
-  /// Process-wide instruments (plan cache, thread pool, tracer, unknown-
-  /// model rejects), registered once at construction.
+  /// Process-wide instruments (thread pool, tracer, unknown-model
+  /// rejects), registered once at construction.
   void register_process_metrics();
 
   EngineConfig cfg_;

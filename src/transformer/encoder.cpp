@@ -142,6 +142,11 @@ Encoder::Encoder(const ModelConfig& cfg, Rng& rng)
 }
 
 Tensor Encoder::forward(const BatchInput& in) {
+  // An empty batch has no rows for a head to read: a classification head
+  // would take row 0 of a 0-row hidden state.
+  if (in.batch == 0 || in.seq == 0)
+    throw std::invalid_argument(
+        "Encoder::forward: empty batch (batch or seq is 0)");
   if (in.token_ids.size() != in.batch * in.seq ||
       in.type_ids.size() != in.batch * in.seq)
     throw std::invalid_argument("Encoder::forward: bad batch shape");

@@ -246,8 +246,8 @@ TEST(BlockParity, IBertRowsMatchPerRow) {
           std::vector<float> block = x, rows = x;
           ibert::softmax_rows(block, nrows, ncols);
           for (std::size_t r = 0; r < nrows; ++r)
-            ibert::softmax_row(
-                std::span<float>(rows).subspan(r * ncols, ncols));
+            ibert::softmax_rows(
+                std::span<float>(rows).subspan(r * ncols, ncols), 1, ncols);
           expect_same_bits(block, rows, "ibert softmax" + where(nrows, ncols));
         }
         {
@@ -263,9 +263,10 @@ TEST(BlockParity, IBertRowsMatchPerRow) {
           std::vector<float> block(x.size()), rows(x.size());
           ibert::layernorm_rows(x, block, nrows, ncols, gamma, beta);
           for (std::size_t r = 0; r < nrows; ++r)
-            ibert::layernorm_row(
+            ibert::layernorm_rows(
                 std::span<const float>(x).subspan(r * ncols, ncols),
-                std::span<float>(rows).subspan(r * ncols, ncols), gamma, beta);
+                std::span<float>(rows).subspan(r * ncols, ncols), 1, ncols,
+                gamma, beta);
           expect_same_bits(block, rows,
                            "ibert layernorm" + where(nrows, ncols));
         }
@@ -319,7 +320,7 @@ void expect_row_matches_reference(std::span<const float> row,
       qsum += e[i] = ibert::i_exp({sg.q[i] - qmax, sg.s}).q;
     const std::int64_t factor = (std::int64_t{1} << 62) / qsum;
     std::vector<float> got(row.begin(), row.end()), want(n);
-    ibert::softmax_row(got);
+    ibert::softmax_rows(got, 1, got.size());
     for (std::size_t i = 0; i < n; ++i)
       want[i] = static_cast<float>((e[i] * factor) >> 32) * 0x1p-30f;
     expect_same_bits(got, want, "ibert softmax " + what);
@@ -339,7 +340,7 @@ void expect_row_matches_reference(std::span<const float> row,
     for (float& v : gamma) v = bit_built_uniform(state, -1.5f, 1.5f);
     for (float& v : beta) v = bit_built_uniform(state, -0.5f, 0.5f);
     std::vector<float> got(n), want(n);
-    ibert::layernorm_row(row, got, gamma, beta);
+    ibert::layernorm_rows(row, got, 1, row.size(), gamma, beta);
     for (std::size_t i = 0; i < n; ++i) {
       const float v = static_cast<float>((g.q[i] - mean) * factor) * s_out;
       want[i] = v * gamma[i] + beta[i];

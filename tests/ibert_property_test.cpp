@@ -54,7 +54,7 @@ TEST(SoftmaxRowProperties, PreservesArgmaxAndOrdering) {
     const std::size_t argmax_before = static_cast<std::size_t>(
         std::max_element(row.begin(), row.end()) - row.begin());
     std::vector<float> orig = row;
-    softmax_row(row);
+    softmax_rows(row, 1, row.size());
     const std::size_t argmax_after = static_cast<std::size_t>(
         std::max_element(row.begin(), row.end()) - row.begin());
     EXPECT_EQ(argmax_after, argmax_before) << trial;
@@ -71,13 +71,13 @@ TEST(SoftmaxRowProperties, OutputsNonNegative) {
   Rng rng(22);
   std::vector<float> row(64);
   for (float& v : row) v = rng.uniform(-30.0f, 30.0f);
-  softmax_row(row);
+  softmax_rows(row, 1, row.size());
   for (float v : row) EXPECT_GE(v, 0.0f);
 }
 
 TEST(SoftmaxRowProperties, SingleElementRowIsOne) {
   std::vector<float> row{3.7f};
-  softmax_row(row);
+  softmax_rows(row, 1, row.size());
   EXPECT_NEAR(row[0], 1.0f, 0.01f);
 }
 
@@ -89,8 +89,8 @@ TEST(LayerNormRowProperties, ShiftInvariance) {
     x[i] = rng.uniform(-2.0f, 2.0f);
     shifted[i] = x[i] + 7.5f;
   }
-  layernorm_row(x, y1, {}, {});
-  layernorm_row(shifted, y2, {}, {});
+  layernorm_rows(x, y1, 1, x.size(), {}, {});
+  layernorm_rows(shifted, y2, 1, shifted.size(), {}, {});
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(y1[i], y2[i], 0.05f) << i;
 }
@@ -103,8 +103,8 @@ TEST(LayerNormRowProperties, ScaleEquivariance) {
     x[i] = rng.uniform(-2.0f, 2.0f);
     scaled[i] = 5.0f * x[i];
   }
-  layernorm_row(x, y1, {}, {});
-  layernorm_row(scaled, y2, {}, {});
+  layernorm_rows(x, y1, 1, x.size(), {}, {});
+  layernorm_rows(scaled, y2, 1, scaled.size(), {}, {});
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(y1[i], y2[i], 0.05f) << i;
 }

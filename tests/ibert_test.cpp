@@ -124,7 +124,7 @@ TEST(SoftmaxRow, SumsToOne) {
   for (int t = 0; t < 20; ++t) {
     std::vector<float> row(48);
     for (float& v : row) v = rng.uniform(-6.0f, 6.0f);
-    softmax_row(row);
+    softmax_rows(row, 1, row.size());
     const float sum = std::accumulate(row.begin(), row.end(), 0.0f);
     EXPECT_NEAR(sum, 1.0f, 0.01f);
   }
@@ -139,7 +139,7 @@ TEST(SoftmaxRow, TracksExactSoftmax) {
       row[i] = rng.uniform(-5.0f, 5.0f);
       expect[i] = row[i];
     }
-    softmax_row(row);
+    softmax_rows(row, 1, row.size());
     softmax_exact(expect);
     for (std::size_t i = 0; i < row.size(); ++i)
       worst = std::max(worst,
@@ -164,7 +164,7 @@ TEST(LayerNormRow, TracksExactLayerNorm) {
   Rng rng(8);
   std::vector<float> x(128), y(128), expect(128);
   for (float& v : x) v = rng.uniform(-2.0f, 2.0f);
-  layernorm_row(x, y, {}, {});
+  layernorm_rows(x, y, 1, x.size(), {}, {});
   layer_norm_exact(x, expect, {}, {});
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(y[i], expect[i], 0.02f) << i;
@@ -174,14 +174,14 @@ TEST(LayerNormRow, AffineParamsApplied) {
   std::vector<float> x{1.0f, 2.0f, 3.0f, 4.0f};
   std::vector<float> y(4), expect(4);
   std::vector<float> gamma{2.0f, 2.0f, 2.0f, 2.0f}, beta{1.0f, 1.0f, 1.0f, 1.0f};
-  layernorm_row(x, y, gamma, beta);
+  layernorm_rows(x, y, 1, x.size(), gamma, beta);
   layer_norm_exact(x, expect, gamma, beta);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(y[i], expect[i], 0.05f);
 }
 
 TEST(LayerNormRow, ConstantRowDoesNotCrash) {
   std::vector<float> x(16, 3.0f), y(16);
-  layernorm_row(x, y, {}, {});
+  layernorm_rows(x, y, 1, x.size(), {}, {});
   for (float v : y) EXPECT_NEAR(v, 0.0f, 0.1f);
 }
 

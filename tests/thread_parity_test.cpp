@@ -316,7 +316,7 @@ TEST(IBertRegressions, IExpSurvivesCoarseScale) {
 TEST(IBertRegressions, SoftmaxRowSurvivesCoarseScale) {
   // Magnitudes around 1e6 give s = 1e6 / 32767 ≈ 30.5 > ln2.
   std::vector<float> row = {-1e6f, 0.0f, 5e5f, 1e6f};
-  ibert::softmax_row(row);
+  ibert::softmax_rows(row, 1, row.size());
   float sum = 0.0f;
   for (float v : row) {
     EXPECT_TRUE(std::isfinite(v));
@@ -331,7 +331,7 @@ TEST(IBertRegressions, NonFiniteRowsDoNotCrash) {
   const float inf = std::numeric_limits<float>::infinity();
 
   std::vector<float> sm = {nan, 0.0f, 1.0f, inf, -inf, 2.0f};
-  ibert::softmax_row(sm);
+  ibert::softmax_rows(sm, 1, sm.size());
   for (float v : sm) EXPECT_TRUE(std::isfinite(v));
 
   std::vector<float> ge = {nan, inf, -inf, 0.5f, -0.5f};
@@ -340,7 +340,7 @@ TEST(IBertRegressions, NonFiniteRowsDoNotCrash) {
 
   std::vector<float> x = {nan, 1.0f, inf, -2.0f, 0.0f, 3.0f};
   std::vector<float> y(x.size());
-  ibert::layernorm_row(x, y, {}, {});
+  ibert::layernorm_rows(x, y, 1, x.size(), {}, {});
   for (float v : y) EXPECT_TRUE(std::isfinite(v));
 }
 
@@ -349,7 +349,7 @@ TEST(IBertRegressions, TinyMagnitudeRowsStayDefined) {
   // stay inside int64 (the ASan+UBSan CI job enforces no overflow) and
   // produce finite outputs.
   std::vector<float> sm = {1e-26f, 2e-26f, -3e-26f, 0.0f};
-  ibert::softmax_row(sm);
+  ibert::softmax_rows(sm, 1, sm.size());
   float sum = 0.0f;
   for (float v : sm) {
     EXPECT_TRUE(std::isfinite(v));
@@ -366,7 +366,7 @@ TEST(IBertRegressions, TinyMagnitudeRowsStayDefined) {
 
   std::vector<float> x = {1e-28f, -2e-28f, 3e-28f, -4e-28f};
   std::vector<float> y(x.size());
-  ibert::layernorm_row(x, y, {}, {});
+  ibert::layernorm_rows(x, y, 1, x.size(), {}, {});
   for (float v : y) EXPECT_TRUE(std::isfinite(v));
 }
 

@@ -113,6 +113,21 @@ TEST(TaskModel, ParamsCoverAllLayers) {
   EXPECT_EQ(m.params().size(), expect);
 }
 
+TEST(TaskModel, RejectsEmptyBatches) {
+  // A classification head reads row 0 of the hidden state per sequence; an
+  // empty batch has no such row.
+  Rng rng(7);
+  TaskModel m(tiny_config(), HeadKind::kClassify, 2, rng);
+  for (const auto& [batch, seq] :
+       {std::pair<std::size_t, std::size_t>{1, 0}, {0, 4}}) {
+    BatchInput in;
+    in.batch = batch;
+    in.seq = seq;
+    EXPECT_THROW(m.forward(in), std::invalid_argument)
+        << "batch=" << batch << " seq=" << seq;
+  }
+}
+
 TEST(DecodeSpans, PicksArgmaxStartThenEnd) {
   Tensor logits({8, 2});  // batch=1, seq=8
   logits.at(2, 0) = 5.0f;  // start at 2
