@@ -13,7 +13,8 @@
 // those allocations. rss_delta_bytes reports the resident-set movement
 // over the window (control-plane allocations — promise states, queue
 // nodes, client input vectors — are outside the pool's scope and show up
-// here, not in alloc_delta_warm).
+// here, not in alloc_delta_warm), and rss_bytes the absolute resident set
+// at the end of the window: model weights, pools, workspaces and traces.
 //
 // Unless --benchmark_out is given, results are also written as
 // machine-readable JSON to BENCH_memory_steady_state.json.
@@ -143,6 +144,8 @@ void BM_MemorySteadyState(benchmark::State& state) {
       rss1.supported ? static_cast<double>(rss1.rss_bytes) -
                            static_cast<double>(rss0.rss_bytes)
                      : 0.0;
+  state.counters["rss_bytes"] =
+      rss1.supported ? static_cast<double>(rss1.rss_bytes) : 0.0;
   // Events recorded during this configuration — proves the zero-alloc
   // window above really exercised the tracing hot path.
   state.counters["trace_events"] = static_cast<double>(

@@ -94,6 +94,8 @@ Tensor LutLayerNorm::backward(const Tensor& dy) {
   assert(rows == u_cache_.dim(0));
   Tensor dx({rows, dim});
   const float inv_n = 1.0f / static_cast<float>(dim);
+  const auto dgamma = gamma.ensure_grad().flat();
+  const auto dbeta = beta.ensure_grad().flat();
 
   for (std::size_t r = 0; r < rows; ++r) {
     const auto dyr = dy.row(r);
@@ -105,8 +107,8 @@ Tensor LutLayerNorm::backward(const Tensor& dy) {
     double sum_g = 0.0, sum_gu = 0.0;
     for (std::size_t j = 0; j < dim; ++j) {
       const float g = dyr[j] * gamma.value[j];
-      gamma.grad[j] += dyr[j] * u[j] * rr;
-      beta.grad[j] += dyr[j];
+      dgamma[j] += dyr[j] * u[j] * rr;
+      dbeta[j] += dyr[j];
       sum_g += g;
       sum_gu += static_cast<double>(g) * u[j];
     }

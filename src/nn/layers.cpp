@@ -35,8 +35,8 @@ Tensor Linear::backward(const Tensor& dy) {
   assert(dy.rank() == 2 && dy.dim(1) == out_features());
   assert(dy.dim(0) == x_cache_.dim(0));
   // dW += X^T dY ; db += colsum(dY) ; dX = dY W^T.
-  matmul_at_accumulate(x_cache_, dy, w.grad);
-  col_sum_accumulate(dy, b.grad.flat());
+  matmul_at_accumulate(x_cache_, dy, w.ensure_grad());
+  col_sum_accumulate(dy, b.ensure_grad().flat());
   Tensor dx({dy.dim(0), in_features()});
   matmul_bt(dy, w.value, dx);
   return dx;
@@ -82,6 +82,8 @@ Tensor LayerNorm::backward(const Tensor& dy) {
   const std::size_t rows = dy.dim(0), dim = dy.dim(1);
   assert(rows == xhat_cache_.dim(0));
   Tensor dx({rows, dim});
+  const auto dgamma = gamma.ensure_grad().flat();
+  const auto dbeta = beta.ensure_grad().flat();
 
   for (std::size_t r = 0; r < rows; ++r) {
     const auto dyr = dy.row(r);
@@ -92,8 +94,8 @@ Tensor LayerNorm::backward(const Tensor& dy) {
     double sum_g = 0.0, sum_gx = 0.0;
     for (std::size_t j = 0; j < dim; ++j) {
       const float g = dyr[j] * gamma.value[j];
-      gamma.grad[j] += dyr[j] * xh[j];
-      beta.grad[j] += dyr[j];
+      dgamma[j] += dyr[j] * xh[j];
+      dbeta[j] += dyr[j];
       sum_g += g;
       sum_gx += static_cast<double>(g) * xh[j];
     }
@@ -129,10 +131,12 @@ Tensor NoNorm::forward(const Tensor& x) {
 Tensor NoNorm::backward(const Tensor& dy) {
   const std::size_t rows = dy.dim(0), dim = dy.dim(1);
   Tensor dx({rows, dim});
+  const auto dgamma = gamma.ensure_grad().flat();
+  const auto dbeta = beta.ensure_grad().flat();
   for (std::size_t r = 0; r < rows; ++r)
     for (std::size_t j = 0; j < dim; ++j) {
-      gamma.grad[j] += dy.at(r, j) * x_cache_.at(r, j);
-      beta.grad[j] += dy.at(r, j);
+      dgamma[j] += dy.at(r, j) * x_cache_.at(r, j);
+      dbeta[j] += dy.at(r, j);
       dx.at(r, j) = dy.at(r, j) * gamma.value[j];
     }
   return dx;
@@ -162,8 +166,9 @@ Tensor Embedding::forward(std::span<const int> ids) {
 void Embedding::backward(const Tensor& dy) {
   assert(dy.dim(0) == ids_cache_.size());
   const std::size_t dim = table.value.dim(1);
+  Tensor& grad = table.ensure_grad();
   for (std::size_t r = 0; r < ids_cache_.size(); ++r) {
-    auto dst = table.grad.row(static_cast<std::size_t>(ids_cache_[r]));
+    auto dst = grad.row(static_cast<std::size_t>(ids_cache_[r]));
     const auto src = dy.row(r);
     for (std::size_t j = 0; j < dim; ++j) dst[j] += src[j];
   }

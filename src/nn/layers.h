@@ -16,16 +16,24 @@
 
 namespace nnlut::nn {
 
-/// A trainable parameter: value plus accumulated gradient.
+/// A trainable parameter: value plus accumulated gradient. `grad` stays
+/// empty until the first gradient write, so a model that only runs forward
+/// (inference, serving) holds no gradient memory; after a backward pass,
+/// zero_grad() or an optimizer's construction it is sized to `value`.
 struct Param {
   Tensor value;
   Tensor grad;
 
   Param() = default;
-  explicit Param(std::vector<std::size_t> shape)
-      : value(shape), grad(std::move(shape)) {}
+  explicit Param(std::vector<std::size_t> shape) : value(std::move(shape)) {}
 
-  void zero_grad() { grad.zero(); }
+  /// `grad`, sized to `value` and zero-filled the first time it is used.
+  /// Every gradient writer goes through this.
+  Tensor& ensure_grad() {
+    if (grad.shape() != value.shape()) grad = Tensor(value.shape());
+    return grad;
+  }
+  void zero_grad() { ensure_grad().zero(); }
   std::size_t size() const { return value.size(); }
 };
 

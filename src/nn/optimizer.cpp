@@ -8,7 +8,9 @@ Adam::Adam(std::vector<Param*> params, Options opt)
     : params_(std::move(params)), opt_(opt) {
   m1_.reserve(params_.size());
   m2_.reserve(params_.size());
-  for (const Param* p : params_) {
+  for (Param* p : params_) {
+    // Sized with the moments, so callers may write p->grad right away.
+    p->ensure_grad();
     m1_.emplace_back(p->value.shape());
     m2_.emplace_back(p->value.shape());
   }
@@ -24,8 +26,9 @@ void Adam::step() {
   float scale = 1.0f;
   if (opt_.grad_clip > 0.0f) {
     double norm_sq = 0.0;
-    for (const Param* p : params_)
-      for (float g : p->grad.flat()) norm_sq += static_cast<double>(g) * g;
+    for (Param* p : params_)
+      for (float g : p->ensure_grad().flat())
+        norm_sq += static_cast<double>(g) * g;
     const float norm = static_cast<float>(std::sqrt(norm_sq));
     if (norm > opt_.grad_clip) scale = opt_.grad_clip / norm;
   }
@@ -36,7 +39,7 @@ void Adam::step() {
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Param& p = *params_[i];
     auto w = p.value.flat();
-    auto g = p.grad.flat();
+    auto g = p.ensure_grad().flat();
     auto m = m1_[i].flat();
     auto v = m2_[i].flat();
     for (std::size_t j = 0; j < w.size(); ++j) {

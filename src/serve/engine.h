@@ -81,8 +81,10 @@ class Engine {
   /// ("nnlut-sched-<model_id>", compacted to "nns-<model_id>" when the
   /// 15-char Linux thread-name limit would otherwise truncate the model
   /// id away). Borrows the trained model and backend; both must outlive
-  /// the engine. Throws std::invalid_argument on an empty or duplicate id,
-  /// std::logic_error after shutdown.
+  /// the engine, and the model must not be modified while registered (in
+  /// kFp32 the slot reads its weights in place, so slots registering one
+  /// model share one copy). Throws std::invalid_argument on an empty or
+  /// duplicate id, std::logic_error after shutdown.
   void register_model(const std::string& model_id,
                       const transformer::TaskModel& model,
                       transformer::NonlinearitySet& nl, SlotConfig cfg = {});

@@ -49,9 +49,11 @@ Tensor NormSlot::backward(const Tensor& dy) {
     lut_ln_.beta.zero_grad();
     Tensor dx = lut_ln_.backward(dy);
     // Accumulate into the canonical parameter gradients.
-    for (std::size_t i = 0; i < ln_.gamma.grad.size(); ++i) {
-      ln_.gamma.grad[i] += lut_ln_.gamma.grad[i];
-      ln_.beta.grad[i] += lut_ln_.beta.grad[i];
+    const auto dgamma = ln_.gamma.ensure_grad().flat();
+    const auto dbeta = ln_.beta.ensure_grad().flat();
+    for (std::size_t i = 0; i < dgamma.size(); ++i) {
+      dgamma[i] += lut_ln_.gamma.grad[i];
+      dbeta[i] += lut_ln_.beta.grad[i];
     }
     return dx;
   }

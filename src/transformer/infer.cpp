@@ -58,6 +58,7 @@ void require_finite(const Tensor& t, int layer, const char* name,
 void InferenceModel::PreparedLinear::apply_into(const Tensor& x,
                                                 MatmulMode mode, Workspace& ws,
                                                 Tensor& y) const {
+  const Tensor& w = weight();
   assert(y.rank() == 2 && y.dim(0) == x.dim(0) && y.dim(1) == w.dim(1));
   const Tensor* operand = &x;
   if (mode != MatmulMode::kFp32) {
@@ -67,7 +68,7 @@ void InferenceModel::PreparedLinear::apply_into(const Tensor& x,
     operand = &ws.proj;
   }
   matmul(*operand, w, y);  // matmul zero-fills y before accumulating
-  add_row_bias(y, b.flat());
+  add_row_bias(y, lin->b.value.flat());
   if (mode == MatmulMode::kFp16) ibert::fake_quantize_fp16(y.flat());
 }
 
@@ -81,10 +82,13 @@ InferenceModel::InferenceModel(const TaskModel& model, NonlinearitySet& nl,
                            const char* name) {
     require_finite(lin.w.value, layer, name, "weight");
     require_finite(lin.b.value, layer, name, "bias");
-    Tensor w = lin.w.value;
-    project(w, m, w.size());
-    require_finite(w, layer, name, "weight after projection");
-    return PreparedLinear{std::move(w), lin.b.value};
+    PreparedLinear p{&lin, Tensor()};
+    if (m != MatmulMode::kFp32) {
+      p.projected = lin.w.value;
+      project(p.projected, m, p.projected.size());
+      require_finite(p.projected, layer, name, "weight after projection");
+    }
+    return p;
   };
   layers_.reserve(model.encoder.layers.size());
   for (const EncoderLayer& l : model.encoder.layers) {
@@ -266,7 +270,7 @@ const Tensor& InferenceModel::encode_into(const BatchInput& in,
     Tensor& x1 = ws.prepare(ws.x1, {rows, hidden});
     norm_rows(attn_out, x1, enc.layers[li].norm1, 2 * site);
 
-    Tensor& hmid = ws.prepare(ws.hmid, {rows, lw.ff1.w.dim(1)});
+    Tensor& hmid = ws.prepare(ws.hmid, {rows, lw.ff1.weight().dim(1)});
     lw.ff1.apply_into(x1, mode_, ws, hmid);
     // Activation over the whole [tokens x d_ff] tensor in one backend call;
     // the row-granular entry point keeps backends with grouped quantization
@@ -305,7 +309,7 @@ Tensor InferenceModel::logits(const BatchInput& in) {
 Tensor InferenceModel::logits(const BatchInput& in, Workspace& ws) {
   const Tensor& hidden = encode_into(in, ws);
   if (model_->head() == HeadKind::kSpan) {
-    Tensor out = Tensor::pooled({hidden.dim(0), head_.w.dim(1)}, ws.pool());
+    Tensor out = Tensor::pooled({hidden.dim(0), head_.weight().dim(1)}, ws.pool());
     head_.apply_into(hidden, MatmulMode::kFp32, ws, out);
     return out;
   }
@@ -315,7 +319,7 @@ Tensor InferenceModel::logits(const BatchInput& in, Workspace& ws) {
     auto dst = cls.row(b);
     for (std::size_t j = 0; j < dst.size(); ++j) dst[j] = src[j];
   }
-  Tensor out = Tensor::pooled({in.batch, head_.w.dim(1)}, ws.pool());
+  Tensor out = Tensor::pooled({in.batch, head_.weight().dim(1)}, ws.pool());
   head_.apply_into(cls, MatmulMode::kFp32, ws, out);
   return out;
 }

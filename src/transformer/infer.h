@@ -30,7 +30,12 @@ enum class MatmulMode {
 
 class InferenceModel {
  public:
-  /// Borrows the trained model and the backend; both must outlive this.
+  /// Borrows the trained model and the backend; both must outlive this,
+  /// and the model must not be modified while it is borrowed: embeddings,
+  /// norm parameters, biases and (in kFp32 mode) the linear weights are read
+  /// in place, so a process holds one copy of the weights however many
+  /// InferenceModels share the model. kFp16 and kInt8 own one projected copy
+  /// of each encoder linear weight.
   InferenceModel(const TaskModel& model, NonlinearitySet& nl,
                  MatmulMode mode = MatmulMode::kFp32);
 
@@ -66,13 +71,21 @@ class InferenceModel {
 
  private:
   struct PreparedLinear {
-    Tensor w;  // weight copy, projected to the matmul precision
-    Tensor b;
-    /// y = project(x) * w + b at `mode`. `y` must be preshaped to
-    /// [x.rows, w.cols] (matmul's contract; it is overwritten). The operand
-    /// projection (a precision-rounded copy of x) stages in ws.proj; in
-    /// kFp32 mode x feeds the matmul directly and ws.proj is untouched, so
-    /// apply carries no allocations of its own.
+    /// The model's layer: its bias, and its weight in kFp32, are read in
+    /// place.
+    const nn::Linear* lin = nullptr;
+    /// kFp16/kInt8: the weight rounded to the matmul precision. Empty in
+    /// kFp32, where rounding is a no-op.
+    Tensor projected;
+
+    const Tensor& weight() const {
+      return projected.empty() ? lin->w.value : projected;
+    }
+    /// y = project(x) * weight() + bias at `mode`. `y` must be preshaped to
+    /// [x.rows, weight().cols] (matmul's contract; it is overwritten). The
+    /// operand projection (a precision-rounded copy of x) stages in ws.proj;
+    /// in kFp32 mode x feeds the matmul directly and ws.proj is untouched,
+    /// so apply carries no allocations of its own.
     void apply_into(const Tensor& x, MatmulMode mode, Workspace& ws,
                     Tensor& y) const;
   };
@@ -86,7 +99,8 @@ class InferenceModel {
   NonlinearitySet* nl_;
   MatmulMode mode_;
 
-  // Pre-projected copies of all weights (layout mirrors the encoder).
+  // The encoder's linear layers (layout mirrors the encoder), each with its
+  // projected weight when the mode rounds weights.
   struct LayerWeights {
     PreparedLinear wq, wk, wv, wo, ff1, ff2;
   };

@@ -10,6 +10,7 @@
 #include "numerics/math.h"
 #include "numerics/rng.h"
 #include "tensor/ops.h"
+#include "transformer/model.h"
 
 namespace nnlut::nn {
 namespace {
@@ -362,6 +363,99 @@ TEST(AdamOptimizer, GradClipBoundsStep) {
   // Adam normalizes by sqrt(v), so the step magnitude is ~lr regardless;
   // the clip keeps the *direction* stable. Just check no explosion.
   EXPECT_NEAR(lin.w.value[0], w0, 0.2f);
+}
+
+// ---------------------------------------------- Lazily sized gradients ----
+
+transformer::TaskModel small_task_model(Rng& rng) {
+  transformer::ModelConfig cfg;
+  cfg.vocab = 16;
+  cfg.hidden = 8;
+  cfg.layers = 1;
+  cfg.heads = 2;
+  cfg.ffn = 16;
+  cfg.max_seq = 6;
+  return transformer::TaskModel(cfg, transformer::HeadKind::kClassify, 2, rng);
+}
+
+/// True when `p.grad` has `p.value`'s shape and holds only zeros.
+bool grad_sized_and_zero(const Param& p) {
+  if (p.grad.shape() != p.value.shape()) return false;
+  for (const float g : p.grad.flat())
+    if (g != 0.0f) return false;
+  return true;
+}
+
+TEST(ParamGrad, FreshModelHoldsNoGradients) {
+  // A model that only runs forward (inference, serving) must not pay for a
+  // second copy of its weights.
+  Rng rng(21);
+  transformer::TaskModel model = small_task_model(rng);
+  const std::vector<Param*> params = model.params();
+  ASSERT_FALSE(params.empty());
+  for (const Param* p : params) {
+    EXPECT_FALSE(p->value.empty());
+    EXPECT_TRUE(p->grad.empty());
+  }
+  transformer::BatchInput in;
+  in.batch = 1;
+  in.seq = 4;
+  in.token_ids = {1, 2, 3, 4};
+  in.type_ids.assign(4, 0);
+  (void)model.forward(in);
+  for (const Param* p : params) EXPECT_TRUE(p->grad.empty());
+}
+
+TEST(ParamGrad, ZeroGradSizesZeroFilled) {
+  Rng rng(22);
+  transformer::TaskModel model = small_task_model(rng);
+  for (Param* p : model.params()) {
+    EXPECT_TRUE(p->grad.empty());
+    p->zero_grad();
+    EXPECT_TRUE(grad_sized_and_zero(*p));
+  }
+}
+
+TEST(ParamGrad, FirstBackwardSizesEveryWrittenGradient) {
+  Rng rng(23);
+  transformer::TaskModel model = small_task_model(rng);
+  transformer::BatchInput in;
+  in.batch = 2;
+  in.seq = 3;
+  in.token_ids = {1, 2, 3, 4, 5, 6};
+  in.type_ids.assign(6, 0);
+  const Tensor logits = model.forward(in);
+  Tensor dlogits(logits.shape());
+  dlogits.fill(1.0f);
+  for (const Param* p : model.params()) EXPECT_TRUE(p->grad.empty());
+  model.backward(dlogits);
+  for (const Param* p : model.params())
+    EXPECT_EQ(p->grad.shape(), p->value.shape());
+
+  // The first backward accumulates into zeros: a Linear's gradient equals
+  // the one it gets after an explicit zero_grad.
+  Linear lazy(3, 2, rng);
+  Linear eager = lazy;
+  eager.w.zero_grad();
+  eager.b.zero_grad();
+  const Tensor x = random_tensor({4, 3}, rng);
+  const Tensor dy = random_tensor({4, 2}, rng);
+  (void)lazy.forward(x);
+  (void)eager.forward(x);
+  (void)lazy.backward(dy);
+  (void)eager.backward(dy);
+  for (std::size_t i = 0; i < lazy.w.grad.size(); ++i)
+    EXPECT_EQ(lazy.w.grad[i], eager.w.grad[i]) << i;
+  for (std::size_t i = 0; i < lazy.b.grad.size(); ++i)
+    EXPECT_EQ(lazy.b.grad[i], eager.b.grad[i]) << i;
+}
+
+TEST(ParamGrad, AdamConstructorSizesZeroFilled) {
+  Rng rng(24);
+  transformer::TaskModel model = small_task_model(rng);
+  for (const Param* p : model.params()) EXPECT_TRUE(p->grad.empty());
+  const Adam adam(model.params(), Adam::Options{});
+  for (const Param* p : model.params()) EXPECT_TRUE(grad_sized_and_zero(*p));
 }
 
 }  // namespace

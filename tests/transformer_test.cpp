@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -218,6 +222,69 @@ TEST(InferenceModel, Int8ModeStaysSane) {
   // INT8 is lossier than FP16 but must stay in the same ballpark.
   EXPECT_LT(max_diff(fp32.logits(in), int8.logits(in)), 0.5);
 }
+
+#ifdef __GLIBC__
+/// Heap bytes in use: arena chunks plus mmapped blocks.
+std::size_t heap_bytes_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+/// Heap growth across building an InferenceModel in `mode`, the model's
+/// encoder linear-weight bytes beside it.
+struct HeapGrowth {
+  double grown = 0;
+  double linear_weight_bytes = 0;
+};
+
+HeapGrowth inference_model_heap_growth(MatmulMode mode) {
+  ModelConfig cfg = tiny_config();
+  cfg.hidden = 128;
+  cfg.ffn = 512;
+  cfg.heads = 4;
+  Rng rng(30);
+  TaskModel m(cfg, HeadKind::kClassify, 2, rng);
+  ExactNonlinearities exact(cfg.act);
+  HeapGrowth g;
+  for (const EncoderLayer& l : m.encoder.layers)
+    for (const nn::Linear* lin : {&l.attn.wq, &l.attn.wk, &l.attn.wv,
+                                  &l.attn.wo, &l.ff1, &l.ff2})
+      g.linear_weight_bytes += static_cast<double>(lin->w.value.size()) *
+                               sizeof(float);
+  const std::size_t before = heap_bytes_in_use();
+  const InferenceModel infer(m, exact, mode);
+  g.grown = static_cast<double>(heap_bytes_in_use()) -
+            static_cast<double>(before);
+  return g;
+}
+
+/// True when mallinfo2 sees this process's allocations (a sanitizer's
+/// allocator bypasses glibc's arenas, and the counters stand still).
+bool mallinfo_tracks_heap() {
+  const std::size_t before = heap_bytes_in_use();
+  const Tensor probe({std::size_t{1} << 18});
+  return heap_bytes_in_use() >= before + probe.size() * sizeof(float);
+}
+
+TEST(InferenceModel, Fp32BorrowsTheModelWeights) {
+  if (!mallinfo_tracks_heap())
+    GTEST_SKIP() << "mallinfo2 does not see the heap";
+  const HeapGrowth g = inference_model_heap_growth(MatmulMode::kFp32);
+  ASSERT_GT(g.linear_weight_bytes, 0.0);
+  EXPECT_LT(g.grown, 0.01 * g.linear_weight_bytes)
+      << "kFp32 must read the model's weights in place, not copy them";
+}
+
+TEST(InferenceModel, ProjectedModesOwnOneWeightCopy) {
+  if (!mallinfo_tracks_heap())
+    GTEST_SKIP() << "mallinfo2 does not see the heap";
+  for (const MatmulMode mode : {MatmulMode::kFp16, MatmulMode::kInt8}) {
+    const HeapGrowth g = inference_model_heap_growth(mode);
+    EXPECT_GE(g.grown, g.linear_weight_bytes) << static_cast<int>(mode);
+    EXPECT_LT(g.grown, 2.0 * g.linear_weight_bytes) << static_cast<int>(mode);
+  }
+}
+#endif  // __GLIBC__
 
 // ------------------------------------------------------------ Backends ----
 
