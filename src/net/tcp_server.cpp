@@ -434,7 +434,7 @@ TcpServer::TcpServer(serve::Engine& engine, TcpServerConfig cfg)
   listen_fd_ = listen_on(cfg_.bind_address, cfg_.port, cfg_.backlog);
   port_ = local_port(listen_fd_);
   port_label_ = std::to_string(port_);
-  if (cfg_.register_metrics) register_metrics();
+  register_net_metrics();
   accept_thread_ = std::thread([this] { accept_main(); });
 }
 
@@ -501,8 +501,7 @@ void TcpServer::stop() {
   for (const auto& s : sessions) s->join();
   sessions.clear();
 
-  if (cfg_.register_metrics)
-    engine_.metrics().remove_labeled("listen", port_label_);
+  engine_.metrics().remove_labeled("listen", port_label_);
 }
 
 NetStats TcpServer::stats() const {
@@ -537,7 +536,7 @@ std::size_t TcpServer::open_connections() const {
   return sessions_.size();
 }
 
-void TcpServer::register_metrics() {
+void TcpServer::register_net_metrics() {
   using Labels = obs::MetricsRegistry::Labels;
   obs::MetricsRegistry& reg = engine_.metrics();
   const Labels base{{"listen", port_label_}};

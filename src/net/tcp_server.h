@@ -66,9 +66,6 @@ struct TcpServerConfig {
   /// Per-connection bound on buffered undelivered response bytes; at the
   /// bound the connection is evicted as a slow reader.
   std::size_t max_write_queue_bytes = std::size_t{4} << 20;
-  /// Register the nnlut_net_* families on the engine's metrics registry
-  /// (deregistered on stop()).
-  bool register_metrics = true;
 };
 
 /// Monotonic counters of one server's lifetime, readable while serving.
@@ -133,7 +130,9 @@ class TcpServer {
 
   void accept_main();
   void reap_finished();
-  void register_metrics();
+  /// Hang the nnlut_net_* families on the engine's metrics registry
+  /// (deregistered on stop()).
+  void register_net_metrics();
 
   serve::Engine& engine_;
   const TcpServerConfig cfg_;

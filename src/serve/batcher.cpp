@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/trace.h"
@@ -19,16 +20,22 @@ constexpr double kHitRateAlpha = 0.25;
 // only adds latency.
 constexpr double kFlushBelowHitRate = 0.5;
 
+SlotConfig normalized(SlotConfig cfg) {
+  if (cfg.max_batch == 0) cfg.max_batch = 1;
+  return cfg;
+}
+
 }  // namespace
 
-Batcher::Batcher(RequestQueue& queue, RunFn run, BatcherConfig cfg,
-                 StatsLedger* ledger)
-    : queue_(&queue), run_(std::move(run)), cfg_(std::move(cfg)),
-      ledger_(ledger) {
-  if (cfg_.max_batch == 0) cfg_.max_batch = 1;
-  scheduler_ = std::thread([this] {
-    runtime::set_current_thread_name(
-        cfg_.thread_name.empty() ? "nnlut-sched" : cfg_.thread_name.c_str());
+Batcher::Batcher(std::string_view model_id, const SlotConfig& cfg,
+                 RequestQueue& queue, StatsLedger& ledger,
+                 runtime::BufferPool& pool, RunFn run)
+    : cfg_(normalized(cfg)), queue_(queue), ledger_(ledger), pool_(pool),
+      run_(std::move(run)) {
+  std::string name = "nnlut-sched-" + std::string(model_id);
+  if (name.size() > 15) name = "ns-" + std::string(model_id);
+  scheduler_ = std::thread([this, name = std::move(name)] {
+    runtime::set_current_thread_name(name.c_str());
     loop();
   });
 }
@@ -37,7 +44,7 @@ Batcher::~Batcher() { stop(); }
 
 void Batcher::stop() {
   if (stopped_.exchange(true)) return;
-  queue_->close();
+  queue_.close();
   if (scheduler_.joinable()) scheduler_.join();
 }
 
@@ -50,8 +57,8 @@ void Batcher::loop() {
       const auto d = kv.second.items.front().enqueued + cfg_.max_wait;
       if (!deadline || d < *deadline) deadline = d;
     }
-    queue_->wait_drain(deadline, drained_);
-    const bool closed = queue_->closed();
+    queue_.wait_drain(deadline, drained_);
+    const bool closed = queue_.closed();
 
     if (!drained_.empty()) {
       // One stamp per drain cycle: every request drained together left the
@@ -88,7 +95,7 @@ void Batcher::loop() {
         const bool due =
             closed || b.items.front().enqueued + cfg_.max_wait <= now;
         if (!due && !sparse) break;
-        if (!due && ledger_) ledger_->record_early_flush();
+        if (!due) ledger_.record_early_flush();
         flush_chunk(b);
       }
     }
@@ -96,7 +103,7 @@ void Batcher::loop() {
     // Exit once closed: every bucket was flushed above. A submission that
     // raced the close still sits in the queue (depth > 0) and gets one more
     // cycle.
-    if (closed && queue_->depth() == 0) return;
+    if (closed && queue_.depth() == 0) return;
   }
 }
 
@@ -142,7 +149,6 @@ void Batcher::finish(const Submission& sub, bool ok,
     obs::complete("req.exec", t2, t3, sub.id);
     obs::complete("req.resolve", t3, t4, sub.id);
   }
-  if (!ledger_) return;
   const auto us = [](std::chrono::steady_clock::duration d) {
     return std::chrono::duration_cast<std::chrono::microseconds>(d);
   };
@@ -152,7 +158,7 @@ void Batcher::finish(const Submission& sub, bool ok,
   st.exec = us(exec_end - exec_start);
   st.resolve = us(now - exec_end);
   st.total = us(now - sub.enqueued);
-  ledger_->record_done(st, ok);
+  ledger_.record_done(st, ok);
 }
 
 void Batcher::execute() {
@@ -165,7 +171,7 @@ void Batcher::execute() {
       live.push_back(std::move(sub));
     } else {
       obs::instant("req.cancelled", sub.id);
-      if (ledger_) ledger_->record_cancelled();
+      ledger_.record_cancelled();
     }
   }
   chunk_.clear();
@@ -232,7 +238,7 @@ void Batcher::execute() {
   const auto exec_end = std::chrono::steady_clock::now();
 
   if (!batch_err) {
-    if (ledger_) ledger_->record_batch(live.size(), total_batch);
+    ledger_.record_batch(live.size(), total_batch);
     if (live.size() == 1) {
       Submission& s = live.front();
       finish(s, true, exec_start, exec_end);
@@ -246,7 +252,7 @@ void Batcher::execute() {
       std::size_t row = 0;
       for (Submission& s : live) {
         const std::size_t item_rows = s.input.batch * rows_per_seq;
-        Tensor piece = Tensor::pooled({item_rows, cols}, cfg_.pool);
+        Tensor piece = Tensor::pooled({item_rows, cols}, &pool_);
         std::copy(out.data() + row * cols, out.data() + (row + item_rows) * cols,
                   piece.data());
         row += item_rows;
@@ -271,7 +277,7 @@ void Batcher::execute() {
           obs::ScopedSpan solo_span("batch.exec", s.input.batch);
           solo = run_(s.input);
         }
-        if (ledger_) ledger_->record_batch(1, s.input.batch);
+        ledger_.record_batch(1, s.input.batch);
         finish(s, true, solo_start, std::chrono::steady_clock::now());
         s.state->set_value(std::move(solo));
       } catch (...) {

@@ -27,10 +27,11 @@
 // Concurrency story (why this class carries no GUARDED_BY annotations,
 // unlike every other serve/ type — see core/thread_annotations.h): the
 // batcher owns NO mutex. All staging state below is confined to the
-// scheduler thread; the only cross-thread members are the RequestQueue
-// (internally annotated) and `stopped_`, an atomic flag whose exchange()
-// makes stop() idempotent; the scheduler join() provides the happens-after
-// edge for everything the final drain wrote.
+// scheduler thread; the only cross-thread members are the borrowed
+// RequestQueue, StatsLedger and BufferPool (each locks internally) and
+// `stopped_`, an atomic flag whose exchange() makes stop() idempotent; the
+// scheduler join() provides the happens-after edge for everything the
+// final drain wrote.
 #pragma once
 
 #include <atomic>
@@ -39,36 +40,34 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "runtime/buffer_pool.h"
 #include "serve/request_queue.h"
 #include "serve/stats.h"
+#include "transformer/infer.h"
 
 namespace nnlut::serve {
 
-struct BatcherConfig {
+/// Per-model serving configuration. The batching knobs are what the slot's
+/// Batcher runs; the matmul mode and admission control configure the slot's
+/// InferenceModel and RequestQueue.
+struct SlotConfig {
   /// Flush threshold, counted in sequences (a request with batch=k
   /// contributes k). A request larger than max_batch still runs, alone.
+  /// 1 disables aggregation; 0 is read as 1.
   std::size_t max_batch = 32;
   /// Upper bound on how long the oldest request in a bucket may wait before
   /// the bucket is flushed even if under-full; a bucket whose arrivals
   /// rarely come within it flushes at once. 0 flushes every drain cycle
   /// (latency floor, no aggregation beyond what arrives together).
   std::chrono::microseconds max_wait{2000};
-  /// OS-visible name for the scheduler thread (pthread_setname_np,
-  /// truncated to 15 chars; no-op where unsupported). The Engine names each
-  /// slot's scheduler "nnlut-sched-<model>", compacted to "ns-<model>"
-  /// when the 15-char limit would truncate the model id away. Empty =
-  /// "nnlut-sched".
-  std::string thread_name = {};
-  /// When set (must outlive the batcher), result slices of merged batches
-  /// draw their storage from this pool instead of the heap, so each piece's
-  /// slab returns for reuse when the client destroys the tensor. nullptr =
-  /// plain heap tensors (identical bits either way).
-  runtime::BufferPool* pool = nullptr;
+  /// Matmul precision of the slot's InferenceModel.
+  transformer::MatmulMode matmul = transformer::MatmulMode::kFp32;
+  /// Bounded queue depth + shed policy; default unbounded.
+  AdmissionConfig admission = {};
 };
 
 class Batcher {
@@ -78,17 +77,27 @@ class Batcher {
   /// ever invoked from the scheduler thread.
   using RunFn = std::function<Tensor(const transformer::BatchInput&)>;
 
-  /// `ledger` (optional, must outlive the batcher) observes execution from
-  /// the scheduler thread: record_batch per model invocation, record_done
-  /// per resolved request, record_cancelled per drained-but-cancelled
-  /// request, record_early_flush per bucket chunk flushed on its hit rate
-  /// before max_wait.
-  Batcher(RequestQueue& queue, RunFn run, BatcherConfig cfg,
-          StatsLedger* ledger = nullptr);
+  /// Starts the scheduler thread of model `model_id`, named
+  /// "nnlut-sched-<model_id>", or "ns-<model_id>" when the 15-char Linux
+  /// thread-name limit would otherwise truncate the model id away, so
+  /// concurrent slots stay distinguishable in profiles and TSan reports.
+  /// `queue`, `ledger` and `pool` must outlive the batcher. The ledger
+  /// observes execution from the scheduler thread: record_batch per model
+  /// invocation, record_done per resolved request, record_cancelled per
+  /// drained-but-cancelled request, record_early_flush per bucket chunk
+  /// flushed on its hit rate before max_wait. Result slices of merged
+  /// batches draw their storage from `pool`, so each piece's slab returns
+  /// for reuse when the client destroys the tensor.
+  Batcher(std::string_view model_id, const SlotConfig& cfg,
+          RequestQueue& queue, StatsLedger& ledger, runtime::BufferPool& pool,
+          RunFn run);
   ~Batcher();
 
   Batcher(const Batcher&) = delete;
   Batcher& operator=(const Batcher&) = delete;
+
+  /// The config the scheduler runs: `cfg` with max_batch 0 read as 1.
+  const SlotConfig& config() const { return cfg_; }
 
   /// Close the queue, execute everything still pending, join the scheduler
   /// thread. Idempotent.
@@ -117,10 +126,11 @@ class Batcher {
               std::chrono::steady_clock::time_point exec_start,
               std::chrono::steady_clock::time_point exec_end);
 
-  RequestQueue* queue_;
+  const SlotConfig cfg_;
+  RequestQueue& queue_;
+  StatsLedger& ledger_;
+  runtime::BufferPool& pool_;
   RunFn run_;
-  BatcherConfig cfg_;
-  StatsLedger* ledger_;  // may be null (no stats)
   // Keyed by seq, one entry per distinct seq ever seen (never erased, so
   // the arrival history survives flushes); scheduler-only.
   std::map<std::size_t, Bucket> buckets_;

@@ -11,13 +11,6 @@
 namespace nnlut::serve {
 
 namespace {
-// Stored and effective config must agree: the batcher treats max_batch 0
-// as 1, so normalize before the slot keeps its copy.
-SlotConfig normalized(SlotConfig cfg) {
-  if (cfg.max_batch == 0) cfg.max_batch = 1;
-  return cfg;
-}
-
 // LatencyHistogram -> pull-time registry snapshot. 31 finite upper edges
 // (2 µs .. 2^31 µs); the last log2 bucket becomes the +Inf overflow entry.
 obs::HistogramSnapshot histogram_snapshot(const LatencyHistogram& h) {
@@ -34,43 +27,29 @@ obs::HistogramSnapshot histogram_snapshot(const LatencyHistogram& h) {
 }
 }  // namespace
 
-Engine::ModelSlot::ModelSlot(std::string id_,
+Engine::ModelSlot::ModelSlot(std::string model_id,
                              const transformer::TaskModel& model_in,
-                             transformer::NonlinearitySet& nl, SlotConfig cfg_)
-    : id(std::move(id_)),
-      cfg(normalized(cfg_)),
-      model(model_in, nl, cfg_.matmul),
-      queue(cfg_.admission, &ledger),
-      ws(&pool) {
-  BatcherConfig bcfg;
-  bcfg.max_batch = cfg.max_batch;
-  bcfg.max_wait = cfg.max_wait;
-  bcfg.pool = &pool;
-  // Linux truncates thread names at 15 chars; when the canonical
-  // "nnlut-sched-<model>" would lose the model id to truncation, fall back
-  // to the compact "ns-<model>" so concurrent slots stay distinguishable
-  // in profiles and TSan reports.
-  bcfg.thread_name = "nnlut-sched-" + id;
-  if (bcfg.thread_name.size() > 15) bcfg.thread_name = "ns-" + id;
-  // The slot's scheduler thread is the only caller of its model (and of the
-  // slot's workspace); N slots mean N orchestrators, admitted FIFO-fairly
-  // by the process pool.
-  batcher = std::make_unique<Batcher>(
-      queue,
-      [this](const transformer::BatchInput& in) { return model.logits(in, ws); },
-      std::move(bcfg), &ledger);
-}
+                             transformer::NonlinearitySet& nl,
+                             const SlotConfig& cfg)
+    : id(std::move(model_id)),
+      model(model_in, nl, cfg.matmul),
+      queue(ledger, cfg.admission),
+      ws(&pool),
+      // The slot's scheduler thread is the only caller of its model (and of
+      // the slot's workspace); N slots mean N orchestrators, admitted
+      // FIFO-fairly by the process pool.
+      batcher(id, cfg, queue, ledger, pool,
+              [this](const transformer::BatchInput& in) {
+                return model.logits(in, ws);
+              }) {}
 
 SlotStats Engine::ModelSlot::snapshot() const {
-  // depths() reads {depth, peak} under one lock: two separate depth() /
-  // peak_depth() calls can interleave with a submit and snapshot an
-  // impossible depth > peak.
   const RequestQueue::Depths d = queue.depths();
   return ledger.snapshot(d.depth, d.peak, pool.stats());
 }
 
-Engine::Engine(EngineConfig cfg) : cfg_(cfg) {
-  runtime::set_runtime_config({cfg_.threads, cfg_.simd});
+Engine::Engine(runtime::RuntimeConfig cfg) {
+  runtime::set_runtime_config(cfg);
   register_process_metrics();
 }
 
@@ -201,9 +180,8 @@ void Engine::register_process_metrics() {
   metrics_.add_counter(
       "nnlut_rejected_unknown_model_total",
       "submit() calls naming a model id that was never registered.",
-      Labels{}, [this]() -> std::uint64_t {
-        MutexLock lk(unknown_mu_);
-        return rejected_unknown_model_;
+      Labels{}, [this] {
+        return rejected_unknown_model_.load(std::memory_order_relaxed);
       });
   metrics_.add_counter(
       "nnlut_threadpool_jobs_total",
@@ -256,10 +234,7 @@ PendingResult Engine::submit(std::string_view model_id,
                              transformer::BatchInput in) {
   ModelSlot* slot = find_slot(model_id);
   if (slot == nullptr) {
-    {
-      MutexLock lk(unknown_mu_);
-      ++rejected_unknown_model_;
-    }
+    rejected_unknown_model_.fetch_add(1, std::memory_order_relaxed);
     return RequestQueue::rejected(std::make_exception_ptr(std::out_of_range(
         "Engine::submit: unknown model '" + std::string(model_id) + "'")));
   }
@@ -283,10 +258,7 @@ bool Engine::has_model(std::string_view model_id) const {
 
 bool Engine::overloaded(std::string_view model_id) const {
   ModelSlot* slot = find_slot(model_id);
-  if (slot == nullptr) return false;
-  const AdmissionConfig& adm = slot->queue.admission();
-  return adm.max_queue_depth > 0 &&
-         slot->queue.depth() >= adm.max_queue_depth;
+  return slot != nullptr && slot->queue.overloaded();
 }
 
 std::vector<std::string> Engine::model_ids() const {
@@ -299,7 +271,7 @@ const SlotConfig& Engine::model_config(std::string_view model_id) const {
   if (slot == nullptr)
     throw std::out_of_range("Engine::model_config: unknown model '" +
                             std::string(model_id) + "'");
-  return slot->cfg;
+  return slot->batcher.config();
 }
 
 SlotStats Engine::model_stats(std::string_view model_id) const {
@@ -368,10 +340,8 @@ EngineStats Engine::stats() const {
     out.total.mean_batch_occupancy =
         sequences / static_cast<double>(out.total.batches);
   }
-  {
-    MutexLock lk(unknown_mu_);
-    out.rejected_unknown_model = rejected_unknown_model_;
-  }
+  out.rejected_unknown_model =
+      rejected_unknown_model_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -385,8 +355,7 @@ void Engine::shutdown() {
     shut_down_ = true;
     for (const std::string& id : order_) slots.push_back(slots_.at(id).get());
   }
-  for (ModelSlot* slot : slots)
-    if (slot->batcher) slot->batcher->stop();
+  for (ModelSlot* slot : slots) slot->batcher.stop();
 }
 
 }  // namespace nnlut::serve

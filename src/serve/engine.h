@@ -28,19 +28,18 @@
 //   submitted    == completed + failed + cancelled
 #pragma once
 
-#include <chrono>
+#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/lut_kernel_simd.h"
 #include "core/thread_annotations.h"
 #include "obs/metrics.h"
+#include "runtime/buffer_pool.h"
+#include "runtime/thread_pool.h"
 #include "serve/batcher.h"
 #include "serve/request_queue.h"
 #include "serve/stats.h"
@@ -48,43 +47,25 @@
 
 namespace nnlut::serve {
 
-/// Per-model serving configuration.
-struct SlotConfig {
-  /// Flush threshold in sequences; 1 disables aggregation.
-  std::size_t max_batch = 32;
-  /// Upper bound on how long a request may sit in an under-full bucket; a
-  /// bucket whose arrivals rarely come within it flushes at once.
-  std::chrono::microseconds max_wait{2000};
-  /// Matmul precision of the slot's InferenceModel.
-  transformer::MatmulMode matmul = transformer::MatmulMode::kFp32;
-  /// Bounded queue depth + shed policy; default unbounded.
-  AdmissionConfig admission = {};
-};
-
-/// Process-wide knobs, applied to the RuntimeConfig at Engine construction.
-struct EngineConfig {
-  /// Execution lanes for the encoder kernels; 0 = hardware_concurrency.
-  std::size_t threads = 0;
-  /// LUT-kernel ISA tier; nullopt = automatic (CPUID + env caps).
-  std::optional<simd::SimdTier> simd = std::nullopt;
-};
+/// The process-wide serving config is the runtime's (lanes and ISA tier),
+/// applied at Engine construction; per-model config is SlotConfig.
+using EngineConfig = runtime::RuntimeConfig;
 
 class Engine {
  public:
-  explicit Engine(EngineConfig cfg = {});
+  explicit Engine(runtime::RuntimeConfig cfg = {});
   ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Register a model under `model_id` and start its scheduler thread
-  /// ("nnlut-sched-<model_id>", compacted to "nns-<model_id>" when the
-  /// 15-char Linux thread-name limit would otherwise truncate the model
-  /// id away). Borrows the trained model and backend; both must outlive
-  /// the engine, and the model must not be modified while registered (in
-  /// kFp32 the slot reads its weights in place, so slots registering one
-  /// model share one copy). Throws std::invalid_argument on an empty or
-  /// duplicate id, std::logic_error after shutdown.
+  /// Register a model under `model_id` and start its scheduler thread (the
+  /// Batcher constructor says how it is named). Borrows the trained model
+  /// and backend; both must outlive the engine, and the model must not be
+  /// modified while registered (in kFp32 the slot reads its weights in
+  /// place, so slots registering one model share one copy). Throws
+  /// std::invalid_argument on an empty or duplicate id, std::logic_error
+  /// after shutdown.
   void register_model(const std::string& model_id,
                       const transformer::TaskModel& model,
                       transformer::NonlinearitySet& nl, SlotConfig cfg = {});
@@ -111,8 +92,8 @@ class Engine {
   bool has_model(std::string_view model_id) const;
   /// Registered ids in registration order.
   std::vector<std::string> model_ids() const;
-  /// The slot's effective config (normalized: max_batch 0 becomes 1, as
-  /// the batcher runs it); throws std::out_of_range on unknown id.
+  /// The slot's config as its batcher runs it (max_batch 0 reads as 1);
+  /// throws std::out_of_range on unknown id.
   const SlotConfig& model_config(std::string_view model_id) const;
 
   /// One slot's counters; throws std::out_of_range on unknown id.
@@ -139,16 +120,15 @@ class Engine {
   /// One registered model: the unit of isolation. Slots never share
   /// queues or ledgers; they share only the process ThreadPool.
   struct ModelSlot {
-    ModelSlot(std::string id_, const transformer::TaskModel& model,
-              transformer::NonlinearitySet& nl, SlotConfig cfg_);
+    ModelSlot(std::string model_id, const transformer::TaskModel& model,
+              transformer::NonlinearitySet& nl, const SlotConfig& cfg);
 
     /// Ledger counters with the queue depths and pool counters folded in.
     SlotStats snapshot() const;
 
     const std::string id;
-    const SlotConfig cfg;
     transformer::InferenceModel model;
-    StatsLedger ledger;  // before queue: the queue records evictions to it
+    StatsLedger ledger;  // before queue and batcher: both record into it
     RequestQueue queue;
     // Memory path: the forward pass runs in a persistent Workspace, and
     // result tensors draw pool slabs that return when clients destroy them.
@@ -157,7 +137,7 @@ class Engine {
     // clients still hold when the pool goes away free directly.
     runtime::BufferPool pool;
     transformer::Workspace ws;
-    std::unique_ptr<Batcher> batcher;  // last member: stops before the rest
+    Batcher batcher;  // last member: stops before the rest
   };
 
   /// nullptr when unknown. The returned pointer stays valid until the
@@ -172,7 +152,6 @@ class Engine {
   /// rejects), registered once at construction.
   void register_process_metrics();
 
-  EngineConfig cfg_;
   // Declared before the slot registry: destroyed after it, and callbacks
   // only run through scrape() on a live engine.
   obs::MetricsRegistry metrics_;
@@ -186,8 +165,7 @@ class Engine {
   std::map<std::string, std::unique_ptr<ModelSlot>, std::less<>> slots_
       NNLUT_GUARDED_BY(mu_);
   std::vector<std::string> order_ NNLUT_GUARDED_BY(mu_);  // registration order
-  mutable Mutex unknown_mu_;
-  std::uint64_t rejected_unknown_model_ NNLUT_GUARDED_BY(unknown_mu_) = 0;
+  std::atomic<std::uint64_t> rejected_unknown_model_{0};
 };
 
 }  // namespace nnlut::serve

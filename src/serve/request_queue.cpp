@@ -163,83 +163,71 @@ void PendingResult::on_ready(std::function<void()> cb) {
   state_->on_done(std::move(cb));
 }
 
-RequestQueue::RequestQueue(AdmissionConfig admission, StatsLedger* ledger)
+RequestQueue::RequestQueue(StatsLedger& ledger, AdmissionConfig admission)
     : admission_(admission), ledger_(ledger) {}
 
-PendingResult RequestQueue::submit(transformer::BatchInput in,
-                                   SubmitOutcome* outcome) {
-  using Status = SubmitOutcome::Status;
-  SubmitOutcome out;
+bool RequestQueue::at_depth_bound() const {
+  return admission_.max_queue_depth > 0 &&
+         items_.size() >= admission_.max_queue_depth;
+}
+
+PendingResult RequestQueue::submit(transformer::BatchInput in) {
   auto state = std::make_shared<detail::ResultState>();
   // Evicted states are rejected outside the queue mutex: set_error notifies
   // a client that may immediately re-submit (and take the same mutex).
   std::vector<std::shared_ptr<detail::ResultState>> evicted;
+  enum class Refused { kNo, kClosed, kOverload } refused = Refused::kNo;
   {
     MutexLock lk(mu_);
-    if (!closed_) {
-      if (admission_.max_queue_depth > 0 &&
-          items_.size() >= admission_.max_queue_depth) {
-        if (admission_.shed_policy == ShedPolicy::kRejectNew) {
-          out.status = Status::kRejectedOverload;
+    if (closed_) {
+      ledger_.record_rejected_shutdown();
+      refused = Refused::kClosed;
+    } else if (at_depth_bound() &&
+               admission_.shed_policy == ShedPolicy::kRejectNew) {
+      ledger_.record_rejected_overload();
+      refused = Refused::kOverload;
+    } else {
+      // At the bound only kRejectOldest gets here: free exactly the slots
+      // needed. An evicted entry that was already cancelled still frees its
+      // slot but resolves as cancelled, not as an overload shed. Classify
+      // and record the ledger HERE, before the victim's result resolves
+      // below, so the victim's client never observes ServerOverloaded ahead
+      // of the shed appearing in stats. (A cancel() racing the
+      // classification can at worst swap one shed for one cancel in the
+      // breakdown; the reconciliation totals stay exact either way.)
+      while (at_depth_bound()) {
+        auto victim = std::move(items_.front().state);
+        items_.pop_front();
+        if (victim->done()) {
+          ledger_.record_cancelled();  // cancel already resolved it
         } else {
-          // kRejectOldest: free exactly the slots needed. An evicted entry
-          // that was already cancelled still frees its slot but resolves as
-          // cancelled, not as an overload shed. Classify and record the
-          // ledger HERE, before the victim's result resolves below, so the
-          // victim's client never observes ServerOverloaded ahead of the
-          // shed appearing in stats. (A cancel() racing the classification
-          // can at worst swap one shed for one cancel in the breakdown;
-          // the reconciliation totals stay exact either way.)
-          while (items_.size() >= admission_.max_queue_depth) {
-            auto victim = std::move(items_.front().state);
-            items_.pop_front();
-            if (victim->done()) {
-              ++out.evicted_cancelled;  // cancel already resolved it
-              if (ledger_) ledger_->record_cancelled();
-            } else {
-              ++out.evicted_overload;
-              if (ledger_) ledger_->record_shed_oldest();
-              evicted.push_back(std::move(victim));
-            }
-          }
+          ledger_.record_shed_oldest();
+          evicted.push_back(std::move(victim));
         }
       }
-      if (out.status == Status::kAccepted) {
-        const std::uint64_t id =
-            g_next_request_id.fetch_add(1, std::memory_order_relaxed);
-        items_.push_back(Submission{state, std::move(in),
-                                    std::chrono::steady_clock::now(),
-                                    std::chrono::steady_clock::time_point{},
-                                    id});
-        peak_depth_ = std::max(peak_depth_, items_.size());
-        if (ledger_) ledger_->record_admitted();
-        obs::instant("req.submit", id);
-        cv_.notify_all();
-      } else if (ledger_) {
-        ledger_->record_rejected_overload();
-      }
-    } else {
-      out.status = Status::kRejectedClosed;
-      if (ledger_) ledger_->record_rejected_shutdown();
+      const std::uint64_t id =
+          g_next_request_id.fetch_add(1, std::memory_order_relaxed);
+      items_.push_back(Submission{state, std::move(in),
+                                  std::chrono::steady_clock::now(),
+                                  std::chrono::steady_clock::time_point{},
+                                  id});
+      peak_depth_ = std::max(peak_depth_, items_.size());
+      ledger_.record_admitted();
+      obs::instant("req.submit", id);
+      cv_.notify_all();
     }
   }
   for (auto& victim : evicted)
     victim->reject_if_queued(std::make_exception_ptr(
         ServerOverloaded("serve: queue full, oldest request shed "
                          "(ShedPolicy::kRejectOldest)")));
-  switch (out.status) {
-    case Status::kAccepted:
-      break;
-    case Status::kRejectedClosed:
-      state->set_error(std::make_exception_ptr(
-          RequestCancelled("serve: queue closed, request rejected")));
-      break;
-    case Status::kRejectedOverload:
-      state->set_error(std::make_exception_ptr(ServerOverloaded(
-          "serve: queue full, request rejected (ShedPolicy::kRejectNew)")));
-      break;
+  if (refused == Refused::kClosed) {
+    state->set_error(std::make_exception_ptr(
+        RequestCancelled("serve: queue closed, request rejected")));
+  } else if (refused == Refused::kOverload) {
+    state->set_error(std::make_exception_ptr(ServerOverloaded(
+        "serve: queue full, request rejected (ShedPolicy::kRejectNew)")));
   }
-  if (outcome) *outcome = out;
   return PendingResult(std::move(state));
 }
 
@@ -267,21 +255,17 @@ std::size_t RequestQueue::depth() const {
   return items_.size();
 }
 
-std::size_t RequestQueue::peak_depth() const {
+bool RequestQueue::overloaded() const {
+  // The network front-end asks this before every submit: an unbounded
+  // queue (admission_ is const) answers without taking the lock.
+  if (admission_.max_queue_depth == 0) return false;
   MutexLock lk(mu_);
-  return peak_depth_;
+  return at_depth_bound();
 }
 
 RequestQueue::Depths RequestQueue::depths() const {
   MutexLock lk(mu_);
   return Depths{items_.size(), peak_depth_};
-}
-
-std::vector<Submission> RequestQueue::wait_drain(
-    std::optional<std::chrono::steady_clock::time_point> deadline) {
-  std::vector<Submission> out;
-  wait_drain(deadline, out);
-  return out;
 }
 
 void RequestQueue::wait_drain(

@@ -187,45 +187,26 @@ struct Submission {
   std::uint64_t id = 0;
 };
 
-/// How one submit() resolved at the queue, for admission accounting.
-struct SubmitOutcome {
-  enum class Status {
-    kAccepted,          // queued; will resolve completed/failed/cancelled
-    kRejectedClosed,    // queue closed: handle carries RequestCancelled
-    kRejectedOverload,  // depth bound + kRejectNew: carries ServerOverloaded
-  };
-  Status status = Status::kAccepted;
-  /// kRejectOldest only: queued requests evicted (rejected with
-  /// ServerOverloaded) to admit this one.
-  std::size_t evicted_overload = 0;
-  /// Evicted entries found already cancelled — they resolve as cancelled,
-  /// not as overload sheds, and the scheduler will never drain them.
-  std::size_t evicted_cancelled = 0;
-};
-
 class RequestQueue {
  public:
-  /// `admission` bounds the queue depth (0 = unbounded) and picks the shed
-  /// policy applied at the bound. `ledger` (optional, must outlive the
-  /// queue) receives ALL submit-side accounting — admitted / overload
-  /// rejects / shutdown rejects / kRejectOldest evictions — recorded under
-  /// the queue mutex, atomically with the queue operation itself. That
-  /// ordering guarantees (a) a request's record_admitted always precedes
-  /// any record for its later fate (done, cancel drain, eviction), so
-  /// counters can never transiently underflow, and (b) a client observing
-  /// its rejection or eviction always finds it already counted in a stats
-  /// snapshot. Validation rejects never reach the queue; the caller
-  /// records those itself.
-  explicit RequestQueue(AdmissionConfig admission = {},
-                        StatsLedger* ledger = nullptr);
+  /// `ledger` (must outlive the queue) receives ALL submit-side accounting
+  /// — admitted / overload rejects / shutdown rejects / kRejectOldest
+  /// evictions — recorded under the queue mutex, atomically with the queue
+  /// operation itself. That ordering guarantees (a) a request's
+  /// record_admitted always precedes any record for its later fate (done,
+  /// cancel drain, eviction), so counters can never transiently underflow,
+  /// and (b) a client observing its rejection or eviction always finds it
+  /// already counted in a stats snapshot. Validation rejects never reach
+  /// the queue; the caller records those itself. `admission` bounds the
+  /// queue depth (0 = unbounded) and picks the shed policy applied at the
+  /// bound.
+  explicit RequestQueue(StatsLedger& ledger, AdmissionConfig admission = {});
 
   /// Enqueue a request. After close() the request is rejected immediately
   /// (the returned handle's get() throws RequestCancelled); at the depth
-  /// bound, admission control sheds per the policy (see SubmitOutcome).
-  /// `outcome`, when given, reports what happened so callers can keep
-  /// exact admission counters.
-  PendingResult submit(transformer::BatchInput in,
-                       SubmitOutcome* outcome = nullptr);
+  /// bound, admission control sheds per the policy. Every outcome lands in
+  /// the ledger.
+  PendingResult submit(transformer::BatchInput in);
 
   /// Reject-and-enqueue-nothing variant: returns a handle already rejected
   /// with `err`. Used by the server front-end for failed validation.
@@ -237,37 +218,35 @@ class RequestQueue {
 
   /// Requests currently queued (not yet drained).
   std::size_t depth() const;
-  /// High-water mark of depth() over the queue's lifetime.
-  std::size_t peak_depth() const;
 
-  /// Consistent {depth, peak} pair taken under ONE lock acquisition.
-  /// Separate depth() + peak_depth() calls can interleave with a submit and
-  /// report depth > peak — an impossible state no monitoring math should
-  /// ever see. Snapshot consumers (Engine::model_stats/stats) use this.
+  /// True when the queue is at (or over) its depth bound right now, i.e. a
+  /// submit at this instant would shed. Always false when unbounded.
+  bool overloaded() const;
+
+  /// Consistent {depth, peak} pair taken under ONE lock acquisition, so a
+  /// snapshot never reports depth > peak; peak is the high-water mark of
+  /// depth() over the queue's lifetime.
   struct Depths {
     std::size_t depth = 0;
     std::size_t peak = 0;
   };
   Depths depths() const;
 
-  const AdmissionConfig& admission() const { return admission_; }
-
   /// Consumer side: block until the queue is non-empty, `deadline` passes,
-  /// or close() is called; then move out everything queued. May return empty
-  /// (timeout or close with nothing pending).
-  std::vector<Submission> wait_drain(
-      std::optional<std::chrono::steady_clock::time_point> deadline);
-
-  /// Allocation-recycling variant: clears `out` and moves everything queued
-  /// into it, reusing its capacity. The batcher drains into one long-lived
-  /// vector so the steady-state scheduler cycle performs no heap allocation
-  /// of its own (the queue's deque nodes are submit-side and out of scope).
+  /// or close() is called; then clear `out` and move everything queued into
+  /// it (possibly nothing, on timeout or close), reusing its capacity. The
+  /// batcher drains into one long-lived vector so the steady-state
+  /// scheduler cycle performs no heap allocation of its own (the queue's
+  /// deque nodes are submit-side and out of scope).
   void wait_drain(std::optional<std::chrono::steady_clock::time_point> deadline,
                   std::vector<Submission>& out);
 
  private:
+  /// The one depth-bound test, shared by submit() and overloaded().
+  bool at_depth_bound() const NNLUT_REQUIRES(mu_);
+
   const AdmissionConfig admission_;
-  StatsLedger* const ledger_;  // eviction accounting only; may be null
+  StatsLedger& ledger_;
   mutable Mutex mu_;
   mutable CondVar cv_;
   std::deque<Submission> items_ NNLUT_GUARDED_BY(mu_);

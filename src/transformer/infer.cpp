@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -138,6 +139,11 @@ void InferenceModel::validate(const BatchInput& in) const {
   if (in.batch == 0 || in.seq == 0)
     throw std::invalid_argument(
         "InferenceModel::encode: empty request (batch or seq is 0)");
+  // A wrapped batch * seq could match a short token_ids while the heads
+  // loop over the full batch.
+  if (in.batch > std::numeric_limits<std::size_t>::max() / in.seq)
+    throw std::invalid_argument(
+        "InferenceModel::encode: batch * seq overflows size_t");
   if (in.token_ids.size() != in.batch * in.seq)
     throw std::invalid_argument("InferenceModel::encode: bad batch shape");
 

@@ -57,8 +57,9 @@ class InferenceModel {
 
   /// All input checks encode() performs, without running the model: throws
   /// std::invalid_argument on an empty request (batch or seq 0) and on
-  /// shape mismatches, and std::out_of_range on token/type ids outside the
-  /// embedding tables or seq beyond the position table. The serving layer
+  /// shape mismatches (a batch * seq that overflows size_t included), and
+  /// std::out_of_range on token/type ids outside the embedding tables or
+  /// seq beyond the position table. The serving layer
   /// pre-validates each request with this so a malformed submission
   /// rejects alone instead of poisoning its batch; it is const and touches
   /// only this model's tables, so every Engine ModelSlot validates

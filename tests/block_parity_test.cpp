@@ -82,13 +82,21 @@ std::string where(std::size_t nrows, std::size_t ncols) {
          " nrows=" + std::to_string(nrows) + " ncols=" + std::to_string(ncols);
 }
 
-/// Runs `body` on every available tier at pool sizes 1 and 4.
+/// Runs `body` on every available tier at pool sizes 1 and 4. The 4-lane
+/// pass must fork at least once (`jobs` counts only runs that forked), so
+/// a larger shard grain cannot turn "1 vs 4 lanes" into "1 vs 1 lane".
 template <typename Body>
 void for_each_runtime(Body body) {
   for (const simd::SimdTier tier : simd::available_simd_tiers())
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       runtime::set_runtime_config({threads, tier});
+      const std::uint64_t jobs = runtime::thread_pool_stats().jobs;
       body();
+      if (threads > 1) {
+        EXPECT_GT(runtime::thread_pool_stats().jobs, jobs)
+            << "the " << threads << "-lane pass never forked at tier "
+            << simd::simd_tier_name(tier);
+      }
     }
   runtime::set_runtime_config({});
 }
@@ -296,6 +304,17 @@ RowGrid row_grid(std::span<const float> row, int bits, bool softmax) {
   return g;
 }
 
+/// Each kernel runs on this many stacked copies of the row, so the
+/// 65544-column ties row shards across the 4-lane pass.
+constexpr std::size_t kCopies = 4;
+
+std::vector<float> stacked(std::span<const float> row) {
+  std::vector<float> x;
+  for (std::size_t c = 0; c < kCopies; ++c)
+    x.insert(x.end(), row.begin(), row.end());
+  return x;
+}
+
 /// The I-BERT row kernels (15 input bits) against the scalar reference API
 /// on the same grid: i_gelu per element; i_exp plus the fixed-point
 /// normalizer (30 output bits) for softmax; the integer mean, i_sqrt and
@@ -305,11 +324,11 @@ void expect_row_matches_reference(std::span<const float> row,
   const std::size_t n = row.size();
   const RowGrid g = row_grid(row, 15, false);
   {
-    std::vector<float> got(row.begin(), row.end()), want(n);
-    ibert::gelu_rows(got, 1, n);
+    std::vector<float> got = stacked(row), want(n);
+    ibert::gelu_rows(got, kCopies, n);
     for (std::size_t i = 0; i < n; ++i)
       want[i] = ibert::i_gelu({g.q[i], g.s}).value();
-    expect_same_bits(got, want, "ibert gelu " + what);
+    expect_same_bits(got, stacked(want), "ibert gelu " + what);
   }
   {
     const RowGrid sg = row_grid(row, 15, true);
@@ -319,11 +338,11 @@ void expect_row_matches_reference(std::span<const float> row,
     for (std::size_t i = 0; i < n; ++i)
       qsum += e[i] = ibert::i_exp({sg.q[i] - qmax, sg.s}).q;
     const std::int64_t factor = (std::int64_t{1} << 62) / qsum;
-    std::vector<float> got(row.begin(), row.end()), want(n);
-    ibert::softmax_rows(got, 1, got.size());
+    std::vector<float> got = stacked(row), want(n);
+    ibert::softmax_rows(got, kCopies, n);
     for (std::size_t i = 0; i < n; ++i)
       want[i] = static_cast<float>((e[i] * factor) >> 32) * 0x1p-30f;
-    expect_same_bits(got, want, "ibert softmax " + what);
+    expect_same_bits(got, stacked(want), "ibert softmax " + what);
   }
   {
     const auto nn = static_cast<std::int64_t>(n);
@@ -339,13 +358,13 @@ void expect_row_matches_reference(std::span<const float> row,
     std::uint64_t state = n;
     for (float& v : gamma) v = bit_built_uniform(state, -1.5f, 1.5f);
     for (float& v : beta) v = bit_built_uniform(state, -0.5f, 0.5f);
-    std::vector<float> got(n), want(n);
-    ibert::layernorm_rows(row, got, 1, row.size(), gamma, beta);
+    std::vector<float> got(kCopies * n), want(n);
+    ibert::layernorm_rows(stacked(row), got, kCopies, n, gamma, beta);
     for (std::size_t i = 0; i < n; ++i) {
       const float v = static_cast<float>((g.q[i] - mean) * factor) * s_out;
       want[i] = v * gamma[i] + beta[i];
     }
-    expect_same_bits(got, want, "ibert layernorm " + what);
+    expect_same_bits(got, stacked(want), "ibert layernorm " + what);
   }
 }
 

@@ -169,6 +169,7 @@ void expect_golden(const std::string& name, NonlinearitySet& nl) {
   for (const simd::SimdTier tier : simd::available_simd_tiers()) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       runtime::set_runtime_config({threads, tier});
+      const std::uint64_t jobs = runtime::thread_pool_stats().jobs;
       for (const MatmulMode mode : kModes) {
         InferenceModel infer(model, nl, mode);
         for (const std::size_t seq : kSeqs) {
@@ -185,6 +186,13 @@ void expect_golden(const std::string& name, NonlinearitySet& nl) {
               << ", " << threads << " threads; new line: "
               << golden_line(key, h);
         }
+      }
+      // `jobs` counts only runs that forked: without this a larger shard
+      // grain could turn "1 vs 4 lanes" into "1 vs 1 lane" unnoticed.
+      if (threads > 1) {
+        EXPECT_GT(runtime::thread_pool_stats().jobs, jobs)
+            << "the " << threads << "-lane pass never forked at tier "
+            << simd::simd_tier_name(tier);
       }
     }
   }

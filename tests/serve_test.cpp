@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "runtime/buffer_pool.h"
 #include "serve/batcher.h"
 #include "serve/request_queue.h"
 #include "serve/stats.h"
@@ -66,16 +68,26 @@ struct BatchRecorder {
   }
 };
 
+/// Drains `q` into a fresh vector (the batcher recycles one instead).
+std::vector<Submission> drain(
+    RequestQueue& q,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
+  std::vector<Submission> out;
+  q.wait_drain(deadline, out);
+  return out;
+}
+
 // ------------------------------------------------------- request queue ---
 
 TEST(RequestQueue, SubmitDrainRoundtrip) {
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   PendingResult r = q.submit(make_request(1, 4));
   EXPECT_TRUE(r.valid());
   EXPECT_FALSE(r.ready());
   EXPECT_EQ(q.depth(), 1u);
 
-  auto drained = q.wait_drain(std::nullopt);
+  auto drained = drain(q, std::nullopt);
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].input.seq, 4u);
   EXPECT_EQ(q.depth(), 0u);
@@ -88,7 +100,8 @@ TEST(RequestQueue, SubmitDrainRoundtrip) {
 }
 
 TEST(RequestQueue, SubmitAfterCloseRejects) {
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   q.close();
   PendingResult r = q.submit(make_request(1, 4));
   EXPECT_TRUE(r.ready());
@@ -96,20 +109,22 @@ TEST(RequestQueue, SubmitAfterCloseRejects) {
 }
 
 TEST(RequestQueue, WaitDrainHonorsDeadline) {
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   const auto t0 = std::chrono::steady_clock::now();
-  auto drained = q.wait_drain(t0 + 20ms);
+  auto drained = drain(q, t0 + 20ms);
   EXPECT_TRUE(drained.empty());
   EXPECT_GE(std::chrono::steady_clock::now() - t0, 20ms);
 }
 
 TEST(RequestQueue, CancelQueuedRequest) {
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   PendingResult r = q.submit(make_request(1, 4));
   EXPECT_TRUE(r.cancel());
   EXPECT_THROW(r.get(), RequestCancelled);
   // The scheduler-side claim must fail so the batcher skips it.
-  auto drained = q.wait_drain(std::nullopt);
+  auto drained = drain(q, std::nullopt);
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_FALSE(drained[0].state->claim());
 }
@@ -118,10 +133,11 @@ TEST(PendingResult, SecondGetThrowsLogicError) {
   // get() moves the logits out; a second get() must throw std::logic_error
   // instead of handing back a moved-from tensor — including through a copy
   // of the handle, since copies share the result state.
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   PendingResult r = q.submit(make_request(1, 4));
   PendingResult copy = r;
-  auto drained = q.wait_drain(std::nullopt);
+  auto drained = drain(q, std::nullopt);
   ASSERT_TRUE(drained[0].state->claim());
   drained[0].state->set_value(toy_model(drained[0].input));
   const Tensor t = r.get();
@@ -135,7 +151,8 @@ TEST(PendingResult, SecondGetThrowsLogicError) {
 TEST(PendingResult, ErrorResultsRethrowOnEveryGet) {
   // Unlike the one-shot value path, a rejected request's error must stay
   // observable: each get() rethrows the same stored exception.
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   PendingResult r = q.submit(make_request(1, 4));
   EXPECT_TRUE(r.cancel());
   EXPECT_THROW(r.get(), RequestCancelled);
@@ -143,9 +160,10 @@ TEST(PendingResult, ErrorResultsRethrowOnEveryGet) {
 }
 
 TEST(RequestQueue, CancelAfterClaimFails) {
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   PendingResult r = q.submit(make_request(1, 4));
-  auto drained = q.wait_drain(std::nullopt);
+  auto drained = drain(q, std::nullopt);
   ASSERT_TRUE(drained[0].state->claim());
   EXPECT_FALSE(r.cancel());
   drained[0].state->set_value(Tensor({1, 2}));
@@ -160,11 +178,12 @@ TEST(RequestQueue, CancelAfterClaimFails) {
 TEST(PendingResultOnReady, FiresExactlyOnceOnEveryResolutionPath) {
   // Value path.
   {
-    RequestQueue q;
+    StatsLedger ledger;
+    RequestQueue q(ledger);
     PendingResult r = q.submit(make_request(1, 4));
     std::atomic<int> fired{0};
     r.on_ready([&fired] { fired.fetch_add(1); });
-    auto drained = q.wait_drain(std::nullopt);
+    auto drained = drain(q, std::nullopt);
     ASSERT_TRUE(drained[0].state->claim());
     drained[0].state->set_value(toy_model(drained[0].input));
     EXPECT_EQ(fired.load(), 1);
@@ -173,11 +192,12 @@ TEST(PendingResultOnReady, FiresExactlyOnceOnEveryResolutionPath) {
   }
   // Error path.
   {
-    RequestQueue q;
+    StatsLedger ledger;
+    RequestQueue q(ledger);
     PendingResult r = q.submit(make_request(1, 4));
     std::atomic<int> fired{0};
     r.on_ready([&fired] { fired.fetch_add(1); });
-    auto drained = q.wait_drain(std::nullopt);
+    auto drained = drain(q, std::nullopt);
     ASSERT_TRUE(drained[0].state->claim());
     drained[0].state->set_error(
         std::make_exception_ptr(std::runtime_error("boom")));
@@ -187,7 +207,8 @@ TEST(PendingResultOnReady, FiresExactlyOnceOnEveryResolutionPath) {
   }
   // Cancel path: the canceller's thread runs the callback.
   {
-    RequestQueue q;
+    StatsLedger ledger;
+    RequestQueue q(ledger);
     PendingResult r = q.submit(make_request(1, 4));
     std::atomic<int> fired{0};
     r.on_ready([&fired] { fired.fetch_add(1); });
@@ -198,7 +219,8 @@ TEST(PendingResultOnReady, FiresExactlyOnceOnEveryResolutionPath) {
   }
   // Eviction path (reject-oldest shed fires the victim's callback).
   {
-    RequestQueue q({/*max_queue_depth=*/1, ShedPolicy::kRejectOldest});
+    StatsLedger ledger;
+    RequestQueue q(ledger, {/*max_queue_depth=*/1, ShedPolicy::kRejectOldest});
     PendingResult victim = q.submit(make_request(1, 4));
     std::atomic<int> fired{0};
     victim.on_ready([&fired] { fired.fetch_add(1); });
@@ -209,12 +231,13 @@ TEST(PendingResultOnReady, FiresExactlyOnceOnEveryResolutionPath) {
   }
   // Shutdown drain: the stopper rejects what is still queued.
   {
-    RequestQueue q;
+    StatsLedger ledger;
+    RequestQueue q(ledger);
     PendingResult r = q.submit(make_request(1, 4));
     std::atomic<int> fired{0};
     r.on_ready([&fired] { fired.fetch_add(1); });
     q.close();
-    auto drained = q.wait_drain(std::nullopt);
+    auto drained = drain(q, std::nullopt);
     ASSERT_EQ(drained.size(), 1u);
     EXPECT_TRUE(drained[0].state->reject_if_queued(
         std::make_exception_ptr(RequestCancelled("serve: shutting down"))));
@@ -224,7 +247,8 @@ TEST(PendingResultOnReady, FiresExactlyOnceOnEveryResolutionPath) {
 }
 
 TEST(PendingResultOnReady, RunsImmediatelyWhenAlreadyResolved) {
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   PendingResult r = q.submit(make_request(1, 4));
   EXPECT_TRUE(r.cancel());
   std::atomic<int> fired{0};
@@ -233,7 +257,8 @@ TEST(PendingResultOnReady, RunsImmediatelyWhenAlreadyResolved) {
 }
 
 TEST(PendingResultOnReady, RegistrationMisuseThrows) {
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   PendingResult r = q.submit(make_request(1, 4));
   EXPECT_THROW(r.on_ready(nullptr), std::invalid_argument);
   r.on_ready([] {});
@@ -247,7 +272,8 @@ TEST(PendingResultOnReady, CapturesReleasedRightAfterInvocation) {
   // The callback's captures must be destroyed as soon as it has run — a
   // callback pinning a resource (here: a shared_ptr) must not keep it alive
   // until the queue or the handle dies.
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   PendingResult r = q.submit(make_request(1, 4));
   auto pinned = std::make_shared<int>(42);
   std::weak_ptr<int> watch = pinned;
@@ -270,7 +296,8 @@ TEST(PendingResultOnReady, ResolveAfterSubmitterGoneNeverTouchesFreedState) {
   std::atomic<int> delivered{0};
   auto dropped = std::make_shared<std::atomic<int>>(0);
 
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   PendingResult r = q.submit(make_request(1, 4));
   auto submitter = std::make_shared<Submitter>(delivered);
   r.on_ready([weak = std::weak_ptr<Submitter>(submitter), dropped] {
@@ -281,7 +308,7 @@ TEST(PendingResultOnReady, ResolveAfterSubmitterGoneNeverTouchesFreedState) {
   });
   submitter.reset();  // the owning connection dies with the request in flight
 
-  auto drained = q.wait_drain(std::nullopt);
+  auto drained = drain(q, std::nullopt);
   ASSERT_TRUE(drained[0].state->claim());
   drained[0].state->set_value(toy_model(drained[0].input));  // resolve late
   EXPECT_EQ(delivered.load(), 0);
@@ -291,38 +318,43 @@ TEST(PendingResultOnReady, ResolveAfterSubmitterGoneNeverTouchesFreedState) {
 // --------------------------------------------------- admission control ---
 
 TEST(RequestQueueAdmission, RejectNewShedsTheIncomingRequest) {
-  RequestQueue q({/*max_queue_depth=*/2, ShedPolicy::kRejectNew});
-  SubmitOutcome out;
-  PendingResult r1 = q.submit(make_request(1, 4), &out);
-  EXPECT_EQ(out.status, SubmitOutcome::Status::kAccepted);
-  PendingResult r2 = q.submit(make_request(1, 4), &out);
-  EXPECT_EQ(out.status, SubmitOutcome::Status::kAccepted);
+  StatsLedger ledger;
+  RequestQueue q(ledger, {/*max_queue_depth=*/2, ShedPolicy::kRejectNew});
+  PendingResult r1 = q.submit(make_request(1, 4));
+  EXPECT_FALSE(q.overloaded());
+  PendingResult r2 = q.submit(make_request(1, 4));
+  EXPECT_EQ(ledger.snapshot().submitted, 2u);
   EXPECT_EQ(q.depth(), 2u);
+  EXPECT_TRUE(q.overloaded());
 
-  PendingResult r3 = q.submit(make_request(1, 4), &out);
-  EXPECT_EQ(out.status, SubmitOutcome::Status::kRejectedOverload);
+  PendingResult r3 = q.submit(make_request(1, 4));
+  const SlotStats st = ledger.snapshot();
+  EXPECT_EQ(st.submitted, 2u);
+  EXPECT_EQ(st.rejected_overload, 1u);
   EXPECT_TRUE(r3.ready());
   EXPECT_THROW(r3.get(), ServerOverloaded);
   // The queued requests are untouched and the depth bound held.
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.peak_depth(), 2u);
+  EXPECT_EQ(q.depths().peak, 2u);
   EXPECT_FALSE(r1.ready());
   EXPECT_FALSE(r2.ready());
 }
 
 TEST(RequestQueueAdmission, RejectOldestEvictsToAdmit) {
-  RequestQueue q({/*max_queue_depth=*/2, ShedPolicy::kRejectOldest});
+  StatsLedger ledger;
+  RequestQueue q(ledger, {/*max_queue_depth=*/2, ShedPolicy::kRejectOldest});
   PendingResult r1 = q.submit(make_request(1, 4, 1));
   PendingResult r2 = q.submit(make_request(1, 4, 2));
-  SubmitOutcome out;
-  PendingResult r3 = q.submit(make_request(1, 4, 3), &out);
-  EXPECT_EQ(out.status, SubmitOutcome::Status::kAccepted);
-  EXPECT_EQ(out.evicted_overload, 1u);
-  EXPECT_EQ(out.evicted_cancelled, 0u);
+  PendingResult r3 = q.submit(make_request(1, 4, 3));
+  // r3 was admitted and r1 reclassified from submitted to an overload shed.
+  const SlotStats st = ledger.snapshot();
+  EXPECT_EQ(st.submitted, 2u);
+  EXPECT_EQ(st.rejected_overload, 1u);
+  EXPECT_EQ(st.cancelled, 0u);
   // The oldest request was shed with ServerOverloaded; the new one queued.
   EXPECT_THROW(r1.get(), ServerOverloaded);
   EXPECT_EQ(q.depth(), 2u);
-  auto drained = q.wait_drain(std::nullopt);
+  auto drained = drain(q, std::nullopt);
   ASSERT_EQ(drained.size(), 2u);
   EXPECT_EQ(drained[0].input.token_ids[0], 2);
   EXPECT_EQ(drained[1].input.token_ids[0], 3);
@@ -333,15 +365,16 @@ TEST(RequestQueueAdmission, RejectOldestReportsCancelledEvictions) {
   // An evicted entry that was already cancelled frees its slot but must be
   // reported as cancelled, not as an overload shed — it already resolved
   // with RequestCancelled and the scheduler will never drain it.
-  RequestQueue q({/*max_queue_depth=*/2, ShedPolicy::kRejectOldest});
+  StatsLedger ledger;
+  RequestQueue q(ledger, {/*max_queue_depth=*/2, ShedPolicy::kRejectOldest});
   PendingResult r1 = q.submit(make_request(1, 4, 1));
   PendingResult r2 = q.submit(make_request(1, 4, 2));
   EXPECT_TRUE(r1.cancel());
-  SubmitOutcome out;
-  PendingResult r3 = q.submit(make_request(1, 4, 3), &out);
-  EXPECT_EQ(out.status, SubmitOutcome::Status::kAccepted);
-  EXPECT_EQ(out.evicted_overload, 0u);
-  EXPECT_EQ(out.evicted_cancelled, 1u);
+  PendingResult r3 = q.submit(make_request(1, 4, 3));
+  const SlotStats st = ledger.snapshot();
+  EXPECT_EQ(st.submitted, 3u);
+  EXPECT_EQ(st.rejected_overload, 0u);
+  EXPECT_EQ(st.cancelled, 1u);
   EXPECT_THROW(r1.get(), RequestCancelled);  // the original cancel sticks
   EXPECT_EQ(q.depth(), 2u);
   (void)r2;
@@ -349,19 +382,19 @@ TEST(RequestQueueAdmission, RejectOldestReportsCancelledEvictions) {
 }
 
 TEST(RequestQueueAdmission, DepthAccountingUnderConcurrentSubmitDrain) {
-  // peak_depth() is a true high-water mark of depth(): with producers and
-  // a draining consumer racing, depth() <= peak_depth() at every sample
+  // depths().peak is a true high-water mark of depth(): with producers and
+  // a draining consumer racing, depth() <= depths().peak at every sample
   // (both update atomically under the queue mutex, and peak only grows),
   // and after everything drains depth() is exactly 0.
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   constexpr int kProducers = 3, kPerProducer = 40;
   std::atomic<std::size_t> drained_total{0};
   std::atomic<bool> stop_sampling{false};
 
   std::thread consumer([&] {
     while (drained_total.load() < kProducers * kPerProducer) {
-      auto batch =
-          q.wait_drain(std::chrono::steady_clock::now() + 1ms);
+      auto batch = drain(q, std::chrono::steady_clock::now() + 1ms);
       for (auto& sub : batch) {
         ASSERT_TRUE(sub.state->claim());
         sub.state->set_value(toy_model(sub.input));
@@ -374,7 +407,7 @@ TEST(RequestQueueAdmission, DepthAccountingUnderConcurrentSubmitDrain) {
       const std::size_t d = q.depth();
       // Read peak after depth: peak is monotonic and was >= d when d was
       // sampled, so the inequality must hold at every interleaving.
-      ASSERT_LE(d, q.peak_depth());
+      ASSERT_LE(d, q.depths().peak);
       ASSERT_LE(d, static_cast<std::size_t>(kProducers * kPerProducer));
       std::this_thread::yield();
     }
@@ -394,26 +427,28 @@ TEST(RequestQueueAdmission, DepthAccountingUnderConcurrentSubmitDrain) {
   sampler.join();
 
   EXPECT_EQ(q.depth(), 0u);
-  EXPECT_GE(q.peak_depth(), 1u);
-  EXPECT_LE(q.peak_depth(), static_cast<std::size_t>(kProducers * kPerProducer));
+  EXPECT_GE(q.depths().peak, 1u);
+  EXPECT_LE(q.depths().peak,
+            static_cast<std::size_t>(kProducers * kPerProducer));
   for (auto& rs : results)
     for (auto& r : rs) EXPECT_NO_THROW(r.get());
 }
 
 TEST(RequestQueueAdmission, DepthsSnapshotIsInternallyConsistent) {
-  // Regression for the stats-snapshot race: reading depth() and
-  // peak_depth() as two lock acquisitions lets a submit land in between,
+  // Regression for the stats-snapshot race: reading depth and peak as two
+  // lock acquisitions lets a submit land in between,
   // yielding an impossible depth > peak pair. depths() takes both under
   // one lock, so depth <= peak must hold in EVERY snapshot — hammer it
   // while producers and a consumer churn the queue.
-  RequestQueue q;
+  StatsLedger ledger;
+  RequestQueue q(ledger);
   constexpr int kProducers = 3, kPerProducer = 60;
   std::atomic<std::size_t> drained_total{0};
   std::atomic<bool> stop_sampling{false};
 
   std::thread consumer([&] {
     while (drained_total.load() < kProducers * kPerProducer) {
-      auto batch = q.wait_drain(std::chrono::steady_clock::now() + 1ms);
+      auto batch = drain(q, std::chrono::steady_clock::now() + 1ms);
       for (auto& sub : batch) {
         ASSERT_TRUE(sub.state->claim());
         sub.state->set_value(toy_model(sub.input));
@@ -452,11 +487,14 @@ TEST(RequestQueueAdmission, DepthsSnapshotIsInternallyConsistent) {
 // ------------------------------------------------------------- batcher ---
 
 TEST(Batcher, MergesSameSeqUpToMaxBatch) {
-  RequestQueue q;
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
   BatchRecorder rec;
   {
     // Huge max_wait: only the max_batch threshold can flush.
-    Batcher b(q, rec.fn(), {/*max_batch=*/4, /*max_wait=*/10min});
+    Batcher b("test", {/*max_batch=*/4, /*max_wait=*/10min}, q, ledger, pool,
+              rec.fn());
     std::vector<PendingResult> rs;
     for (int i = 0; i < 4; ++i) rs.push_back(q.submit(make_request(1, 8, i)));
     for (auto& r : rs) r.wait();
@@ -481,10 +519,13 @@ TEST(Batcher, MergesSameSeqUpToMaxBatch) {
 }
 
 TEST(Batcher, DifferentSeqNeverMerge) {
-  RequestQueue q;
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
   BatchRecorder rec;
   {
-    Batcher b(q, rec.fn(), {/*max_batch=*/8, /*max_wait=*/1ms});
+    Batcher b("test", {/*max_batch=*/8, /*max_wait=*/1ms}, q, ledger, pool,
+              rec.fn());
     PendingResult a = q.submit(make_request(1, 4));
     PendingResult c = q.submit(make_request(1, 6));
     Tensor ta = a.get(), tc = c.get();
@@ -496,9 +537,12 @@ TEST(Batcher, DifferentSeqNeverMerge) {
 }
 
 TEST(Batcher, MaxWaitFlushesUnderfullBucket) {
-  RequestQueue q;
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
   BatchRecorder rec;
-  Batcher b(q, rec.fn(), {/*max_batch=*/64, /*max_wait=*/2ms});
+  Batcher b("test", {/*max_batch=*/64, /*max_wait=*/2ms}, q, ledger, pool,
+            rec.fn());
   PendingResult r = q.submit(make_request(1, 8));
   // Nothing else arrives; the 2ms deadline must flush the lone request.
   EXPECT_TRUE(r.wait_for(2s));
@@ -506,10 +550,13 @@ TEST(Batcher, MaxWaitFlushesUnderfullBucket) {
 }
 
 TEST(Batcher, MultiSequenceRequestsStayWhole) {
-  RequestQueue q;
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
   BatchRecorder rec;
   {
-    Batcher b(q, rec.fn(), {/*max_batch=*/4, /*max_wait=*/10min});
+    Batcher b("test", {/*max_batch=*/4, /*max_wait=*/10min}, q, ledger, pool,
+              rec.fn());
     // 3 + 3 sequences with max_batch 4: requests must not split, so the
     // scheduler runs them as two batches of 3 (3+3 > 4).
     PendingResult a = q.submit(make_request(3, 8, 2));
@@ -528,16 +575,21 @@ TEST(Batcher, MultiSequenceRequestsStayWhole) {
 }
 
 TEST(Batcher, OversizeRequestStillRuns) {
-  RequestQueue q;
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
   BatchRecorder rec;
-  Batcher b(q, rec.fn(), {/*max_batch=*/2, /*max_wait=*/1ms});
+  Batcher b("test", {/*max_batch=*/2, /*max_wait=*/1ms}, q, ledger, pool,
+            rec.fn());
   PendingResult r = q.submit(make_request(5, 8, 1));
   Tensor t = r.get();
   EXPECT_EQ(t.dim(0), 5u);
 }
 
 TEST(Batcher, SoloFallbackIsolatesPoisonedBatch) {
-  RequestQueue q;
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
   // Model that rejects any batch containing a negative token.
   std::atomic<int> calls{0};
   Batcher::RunFn poisonable = [&](const transformer::BatchInput& in) {
@@ -546,7 +598,8 @@ TEST(Batcher, SoloFallbackIsolatesPoisonedBatch) {
       if (t < 0) throw std::out_of_range("bad token " + std::to_string(t));
     return toy_model(in);
   };
-  Batcher b(q, poisonable, {/*max_batch=*/3, /*max_wait=*/10min});
+  Batcher b("test", {/*max_batch=*/3, /*max_wait=*/10min}, q, ledger, pool,
+            poisonable);
   PendingResult good1 = q.submit(make_request(1, 8, 3));
   PendingResult bad = q.submit(make_request(1, 8, -7));
   PendingResult good2 = q.submit(make_request(1, 8, 4));
@@ -564,9 +617,12 @@ TEST(Batcher, SoloFallbackIsolatesPoisonedBatch) {
 }
 
 TEST(Batcher, StopDrainsEverything) {
-  RequestQueue q;
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
   BatchRecorder rec;
-  Batcher b(q, rec.fn(), {/*max_batch=*/64, /*max_wait=*/10min});
+  Batcher b("test", {/*max_batch=*/64, /*max_wait=*/10min}, q, ledger, pool,
+            rec.fn());
   std::vector<PendingResult> rs;
   for (int i = 0; i < 10; ++i) rs.push_back(q.submit(make_request(1, 8, i)));
   b.stop();  // must flush the under-full bucket before joining
@@ -577,9 +633,12 @@ TEST(Batcher, StopDrainsEverything) {
 }
 
 TEST(Batcher, CancelledRequestSkippedByScheduler) {
-  RequestQueue q;
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
   BatchRecorder rec;
-  Batcher b(q, rec.fn(), {/*max_batch=*/2, /*max_wait=*/2ms});
+  Batcher b("test", {/*max_batch=*/2, /*max_wait=*/2ms}, q, ledger, pool,
+            rec.fn());
   PendingResult victim = q.submit(make_request(1, 8, 1));
   EXPECT_TRUE(victim.cancel());
   PendingResult a = q.submit(make_request(1, 8, 2));
@@ -596,11 +655,13 @@ TEST(Batcher, SparseArrivalsFlushEarly) {
   // The hit rate starts at 1 and loses a quarter of its distance to 0 per
   // miss (0.75, 0.56, 0.42), so requests 1-3 wait out the deadline and
   // requests 4 and 5 flush as soon as they are drained.
-  RequestQueue q;
-  BatchRecorder rec;
   StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
+  BatchRecorder rec;
   constexpr auto kMaxWait = 200ms;
-  Batcher b(q, rec.fn(), {/*max_batch=*/64, /*max_wait=*/kMaxWait}, &ledger);
+  Batcher b("test", {/*max_batch=*/64, /*max_wait=*/kMaxWait}, q, ledger, pool,
+            rec.fn());
   auto next = std::chrono::steady_clock::now();
   for (int i = 0; i < 5; ++i) {
     std::this_thread::sleep_until(next);
@@ -624,11 +685,13 @@ TEST(Batcher, ClusteredArrivalsStillMerge) {
   // against a 50ms max_wait. One gap in four misses, which keeps the hit
   // rate above 1/2, so every burst waits for its batch-mates and runs as
   // one batch of 4.
-  RequestQueue q;
-  BatchRecorder rec;
   StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
+  BatchRecorder rec;
   {
-    Batcher b(q, rec.fn(), {/*max_batch=*/8, /*max_wait=*/50ms}, &ledger);
+    Batcher b("test", {/*max_batch=*/8, /*max_wait=*/50ms}, q, ledger, pool,
+              rec.fn());
     for (int burst = 0; burst < 4; ++burst) {
       if (burst > 0) std::this_thread::sleep_for(200ms);
       std::vector<PendingResult> rs;

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -483,6 +484,28 @@ TEST(ServingValidation, MalformedRequestRejectsAloneUnderLoad) {
   EXPECT_EQ(stats.rejected, 4u);
   EXPECT_EQ(stats.completed, good.size());
   EXPECT_EQ(stats.failed, 0u);
+  runtime::set_runtime_config({});
+}
+
+// A batch * seq that wraps size_t must reject at validation: admitted, it
+// would crash the slot's scheduler thread in the head's per-batch loop.
+TEST(ServingValidation, WrappingShapeRejectsAtSubmit) {
+  Rng rng(36);
+  TaskModel m(tiny(), HeadKind::kClassify, 2, rng);
+  ExactNonlinearities nl(m.config().act);
+  Engine engine(EngineConfig{/*threads=*/1});
+  engine.register_model("m", m, nl);
+
+  BatchInput in;
+  in.batch = std::numeric_limits<std::size_t>::max() / 2 + 2;
+  in.seq = 2;
+  in.token_ids.assign(in.batch * in.seq, 1);  // the wrapped product: 2 ids
+  EXPECT_THROW(engine.submit("m", in).get(), std::invalid_argument);
+
+  const SlotStats stats = engine.model_stats("m");
+  EXPECT_EQ(stats.rejected_validation, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.submitted, 0u);
   runtime::set_runtime_config({});
 }
 

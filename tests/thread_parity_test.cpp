@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -59,7 +60,14 @@ Tensor logits_with_pool(const TaskModel& m, NonlinearitySet& nl,
                         MatmulMode mode = MatmulMode::kFp32) {
   runtime::set_runtime_config({threads});
   InferenceModel infer(m, nl, mode);
+  const std::uint64_t jobs = runtime::thread_pool_stats().jobs;
   Tensor out = infer.logits(in);
+  // `jobs` counts only runs that forked: a multi-lane pass that never
+  // forked would compare one lane with one lane.
+  if (threads > 1) {
+    EXPECT_GT(runtime::thread_pool_stats().jobs, jobs)
+        << "the " << threads << "-lane pass never forked";
+  }
   runtime::set_runtime_config({});  // restore default
   return out;
 }

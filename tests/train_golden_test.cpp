@@ -197,6 +197,7 @@ void expect_golden(const std::vector<std::optional<simd::SimdTier>>& tiers) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       runtime::set_runtime_config({threads, tier});
       const char* tier_name = simd::simd_tier_name(simd::active_simd_tier());
+      const std::uint64_t jobs = runtime::thread_pool_stats().jobs;
       for (const std::size_t seq : kSeqs) {
         for (const auto& [config, h] :
              {std::pair{"mobilebert", mobilebert_fingerprint(seq)},
@@ -211,6 +212,13 @@ void expect_golden(const std::vector<std::optional<simd::SimdTier>>& tiers) {
               << "training drifted at tier " << tier_name << ", " << threads
               << " threads; new line: " << golden_line(key, h);
         }
+      }
+      // `jobs` counts only runs that forked: without this a larger shard
+      // grain could turn "1 vs 4 lanes" into "1 vs 1 lane" unnoticed.
+      if (threads > 1) {
+        EXPECT_GT(runtime::thread_pool_stats().jobs, jobs)
+            << "the " << threads << "-lane pass never forked at tier "
+            << tier_name;
       }
     }
   }

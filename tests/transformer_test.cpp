@@ -5,6 +5,7 @@
 #endif
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -200,6 +201,25 @@ TEST(InferenceModel, RejectsEmptyRequests) {
     EXPECT_THROW(infer.logits(in, ws), std::invalid_argument)
         << "batch=" << batch << " seq=" << seq;
   }
+}
+
+// A batch * seq that wraps size_t must not pass as a small shape: with
+// batch = SIZE_MAX / 2 + 2 (2^63 + 1 on 64 bits) and seq = 2 the product
+// wraps to 2, two token ids match it, and the head's per-batch loop would
+// then read far past the rows.
+TEST(InferenceModel, RejectsWrappingShapes) {
+  Rng rng(12);
+  TaskModel m(tiny_config(), HeadKind::kClassify, 2, rng);
+  ExactNonlinearities exact(m.config().act);
+  InferenceModel infer(m, exact, MatmulMode::kFp32);
+  BatchInput in;
+  in.batch = std::numeric_limits<std::size_t>::max() / 2 + 2;
+  in.seq = 2;
+  in.token_ids.assign(in.batch * in.seq, 1);
+  ASSERT_EQ(in.token_ids.size(), 2u);
+  EXPECT_THROW(infer.validate(in), std::invalid_argument);
+  Workspace ws;
+  EXPECT_THROW(infer.logits(in, ws), std::invalid_argument);
 }
 
 TEST(InferenceModel, Fp16ModeStaysClose) {
