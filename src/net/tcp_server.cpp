@@ -39,6 +39,13 @@ struct TcpServer::Counters {
 
 namespace {
 
+// The session whose reader loop runs on this thread, if any. A reader
+// sends its own frames inline; frames delivered by any other thread (a
+// slot scheduler resolving a batch under load, say) go to the session's
+// writer, so those threads never spend their time on this session's
+// socket.
+thread_local const void* t_reader_of = nullptr;
+
 std::uint64_t frame_request_id(const std::vector<std::uint8_t>& frame) {
   // Bytes 12..19 of the header, little-endian (see net/protocol.h).
   std::uint64_t id = 0;
@@ -88,7 +95,8 @@ class TcpServer::Session : public std::enable_shared_from_this<Session> {
   bool finished() const { return finished_.load(std::memory_order_acquire); }
 
   /// Resolve-side entry: called by the on_ready callback on whatever thread
-  /// resolved the request (scheduler, canceller, an evicting submitter).
+  /// resolved the request (this session's reader when it ran the request
+  /// itself, a batch cycle's thread, a canceller, an evicting submitter).
   /// Pops the in-flight entry, maps the outcome onto a kResult/kError frame
   /// and enqueues it toward the client.
   void complete(std::uint64_t request_id) {
@@ -149,6 +157,7 @@ class TcpServer::Session : public std::enable_shared_from_this<Session> {
                     static_cast<unsigned long long>(conn_id_));
       runtime::set_current_thread_name(name);
     }
+    t_reader_of = this;
     auto self = shared_from_this();
     writer_ = std::thread([self] { self->writer_main(); });
 
@@ -213,32 +222,90 @@ class TcpServer::Session : public std::enable_shared_from_this<Session> {
                     static_cast<unsigned long long>(conn_id_));
       runtime::set_current_thread_name(name);
     }
+    bool on_socket = false;  // this thread holds sending_
     for (;;) {
       std::vector<std::uint8_t> frame;
+      std::size_t from = 0;
       {
         UniqueLock lk(mu_);
-        while (writeq_.empty() && !closing_) wcv_.wait(lk);
+        if (on_socket) sending_ = false;
+        // Never while another send is on the socket: frames must not
+        // interleave, and a short inline send queues its tail in front.
+        while (sending_ || (writeq_.empty() && !closing_)) wcv_.wait(lk);
         if (writeq_.empty()) break;  // closing, nothing left to flush
         frame = std::move(writeq_.front());
         writeq_.pop_front();
-        writeq_bytes_ -= frame.size();
+        from = front_sent_;
+        front_sent_ = 0;
+        writeq_bytes_ -= frame.size() - from;
+        sending_ = true;
+        on_socket = true;
       }
       obs::ScopedSpan span("net.write_frame", frame_request_id(frame));
-      if (!send_all(fd_, frame.data(), frame.size())) {
-        // Peer gone mid-write: stop delivering, drop whatever is queued.
-        {
-          MutexLock lk(mu_);
-          closing_ = true;
-          writeq_.clear();
-          writeq_bytes_ = 0;
-        }
-        shutdown_fd(fd_);
+      if (!send_all(fd_, frame.data() + from, frame.size() - from)) {
+        peer_gone();
         break;
       }
       counters_->frames_written.fetch_add(1, std::memory_order_relaxed);
-      counters_->bytes_written.fetch_add(frame.size(),
+      counters_->bytes_written.fetch_add(frame.size() - from,
                                          std::memory_order_relaxed);
     }
+  }
+
+  /// Peer gone mid-write: stop delivering, drop whatever is queued. Called
+  /// by the thread holding sending_, which it releases.
+  void peer_gone() {
+    {
+      MutexLock lk(mu_);
+      sending_ = false;
+      closing_ = true;
+      writeq_.clear();
+      writeq_bytes_ = 0;
+      front_sent_ = 0;
+    }
+    wcv_.notify_all();
+    shutdown_fd(fd_);
+  }
+
+  /// The inline half of enqueue(): the reader claimed sending_ with the
+  /// queue empty, so `frame` goes straight onto the socket without a
+  /// writer wake-up. The send never blocks: what the socket buffer does
+  /// not take now is handed to the writer thread as the front of the
+  /// queue, so a slow reader still costs no thread but its writer.
+  void send_inline(std::vector<std::uint8_t> frame) {
+    obs::ScopedSpan span("net.write_frame", frame_request_id(frame));
+    std::size_t sent = 0;
+    while (sent < frame.size()) {
+      const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+      } else if (n < 0 && errno == EINTR) {
+        continue;
+      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        break;
+      } else {
+        peer_gone();
+        return;
+      }
+    }
+    counters_->bytes_written.fetch_add(sent, std::memory_order_relaxed);
+    const bool whole = sent == frame.size();
+    if (whole) counters_->frames_written.fetch_add(1, std::memory_order_relaxed);
+    bool wake = false;
+    {
+      MutexLock lk(mu_);
+      sending_ = false;
+      if (!whole) {
+        writeq_bytes_ += frame.size() - sent;
+        front_sent_ = sent;
+        writeq_.push_front(std::move(frame));
+      }
+      // Wake the writer only if it has work: a tail or frames queued
+      // meanwhile, or a close it waited out behind this send.
+      wake = !writeq_.empty() || closing_;
+    }
+    if (wake) wcv_.notify_all();
   }
 
   void dispatch(const FrameHeader& h, std::span<const std::uint8_t> payload) {
@@ -369,17 +436,23 @@ class TcpServer::Session : public std::enable_shared_from_this<Session> {
     enqueue(make_frame(FrameType::kError, request_id, body));
   }
 
-  /// Place a frame on the bounded write queue. False (frame dropped) when
-  /// the session is closing or the bound overflowed — the latter evicts
-  /// the connection: a reader that cannot keep up with its responses gets
-  /// disconnected rather than an unbounded buffer or a wedged writer.
-  /// `on_delivery` (optional) is incremented under mu_ at push time, BEFORE
-  /// the frame becomes visible to the writer: once a client can observe the
-  /// response, the counter is already set, so stats() scraped at any moment
-  /// satisfies forwarded == enqueued + dropped.
+  /// Deliver a frame toward the client. False (frame dropped) when the
+  /// session is closing or the write-queue bound overflowed — the latter
+  /// evicts the connection: a reader that cannot keep up with its
+  /// responses gets disconnected rather than an unbounded buffer or a
+  /// wedged writer. The bound is checked first, whichever way the frame
+  /// then goes. On this session's reader, with nothing queued and no send
+  /// in flight, the frame goes out at once (send_inline); otherwise it
+  /// joins the queue behind the frames before it and the writer thread
+  /// sends it.
+  /// `on_delivery` (optional) is incremented under mu_ as the frame is
+  /// claimed either way, BEFORE the client can observe the response, so
+  /// stats() scraped at any moment satisfies forwarded == enqueued +
+  /// dropped.
   bool enqueue(std::vector<std::uint8_t> frame,
                std::atomic<std::uint64_t>* on_delivery = nullptr) {
     bool evicted = false;
+    bool send_now = false;
     {
       MutexLock lk(mu_);
       if (closing_) return false;
@@ -387,12 +460,22 @@ class TcpServer::Session : public std::enable_shared_from_this<Session> {
         closing_ = true;
         writeq_.clear();
         writeq_bytes_ = 0;
+        front_sent_ = 0;
         evicted = true;
       } else {
         if (on_delivery) on_delivery->fetch_add(1, std::memory_order_relaxed);
-        writeq_bytes_ += frame.size();
-        writeq_.push_back(std::move(frame));
+        if (t_reader_of == this && writeq_.empty() && !sending_) {
+          sending_ = true;
+          send_now = true;
+        } else {
+          writeq_bytes_ += frame.size();
+          writeq_.push_back(std::move(frame));
+        }
       }
+    }
+    if (send_now) {
+      send_inline(std::move(frame));
+      return true;
     }
     wcv_.notify_all();
     if (evicted) {
@@ -413,7 +496,14 @@ class TcpServer::Session : public std::enable_shared_from_this<Session> {
   mutable Mutex mu_;
   CondVar wcv_;
   std::deque<std::vector<std::uint8_t>> writeq_ NNLUT_GUARDED_BY(mu_);
+  /// Unsent bytes on the queue (the bound's measure).
   std::size_t writeq_bytes_ NNLUT_GUARDED_BY(mu_) = 0;
+  /// Bytes of writeq_.front() already on the wire: the head of a frame
+  /// whose inline send came up short.
+  std::size_t front_sent_ NNLUT_GUARDED_BY(mu_) = 0;
+  /// A thread (the writer, or an inline sender) has a frame on the socket;
+  /// every other frame queues behind it.
+  bool sending_ NNLUT_GUARDED_BY(mu_) = false;
   bool closing_ NNLUT_GUARDED_BY(mu_) = false;
   /// Client request id -> its engine handle. std::map (ordered) per the
   /// determinism lint; sized by the client's in-flight window.

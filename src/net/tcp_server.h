@@ -11,12 +11,19 @@
 //
 // Completions are ASYNCHRONOUS: no thread blocks per request. The reader
 // registers an on_ready callback holding a weak_ptr to the session; when
-// the slot's scheduler resolves the request, the callback encodes the
-// result (or its typed error frame) and drops it on the owning
-// connection's write queue. A session that died first simply fails the
-// weak_ptr lock and the response is counted dropped — never a touch of
-// freed session state (the contract pinned by serve_test and the chaos
-// suite).
+// the request resolves, the callback encodes the result (or its typed
+// error frame) and delivers it to the owning connection. A session that
+// died first simply fails the weak_ptr lock and the response is counted
+// dropped — never a touch of freed session state (the contract pinned by
+// serve_test and the chaos suite).
+//
+// At light load a request never leaves its session thread: Engine::submit
+// runs an idle slot's request on the reader (serve/batcher.h), the
+// callback fires there, and the reader sends the frame with a non-blocking
+// send when nothing is queued ahead of it. The writer thread is the
+// back-pressure fallback: it sends what a full socket buffer did not take,
+// every frame that arrives while another is on the socket, and every frame
+// delivered by another thread (a scheduler resolving a batch under load).
 //
 // Backpressure composes with PR 5 admission control in two layers:
 //   - shed-before-parse: when Engine::overloaded(model) says the slot's

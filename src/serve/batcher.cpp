@@ -20,6 +20,19 @@ constexpr double kHitRateAlpha = 0.25;
 // only adds latency.
 constexpr double kFlushBelowHitRate = 0.5;
 
+// Set while this thread runs a batch cycle of any slot. Requests resolve
+// inside the cycle, so a resolve callback that submits again runs here; it
+// must queue rather than try_lock a cycle lock its own thread may hold.
+thread_local bool t_in_cycle = false;
+
+class CycleScope {
+ public:
+  CycleScope() { t_in_cycle = true; }
+  ~CycleScope() { t_in_cycle = false; }
+  CycleScope(const CycleScope&) = delete;
+  CycleScope& operator=(const CycleScope&) = delete;
+};
+
 SlotConfig normalized(SlotConfig cfg) {
   if (cfg.max_batch == 0) cfg.max_batch = 1;
   return cfg;
@@ -48,62 +61,118 @@ void Batcher::stop() {
   if (scheduler_.joinable()) scheduler_.join();
 }
 
+PendingResult Batcher::submit(transformer::BatchInput in) {
+  if (!t_in_cycle && mu_.try_lock()) {
+    // Decide before admitting, so an inline attempt never leaves work in a
+    // bucket whose deadline the sleeping scheduler does not know. The
+    // decision reads the clock before the queue stamps the request, and a
+    // later stamp only lowers the hit rate, so the cycle below flushes it.
+    PendingResult result;
+    try {
+      if (flushes_alone(in, std::chrono::steady_clock::now())) {
+        std::optional<Submission> mine;
+        result = queue_.submit(std::move(in), &mine);
+        if (mine) {
+          arrivals_.push_back(std::move(*mine));
+          cycle(/*closed=*/false);
+        }
+      }
+    } catch (...) {
+      mu_.unlock();
+      throw;
+    }
+    mu_.unlock();
+    if (result.valid()) return result;
+  }
+  return queue_.submit(std::move(in));
+}
+
 void Batcher::loop() {
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   for (;;) {
     // Sleep until new work, the nearest bucket flush deadline, or close.
-    std::optional<std::chrono::steady_clock::time_point> deadline;
-    for (const auto& kv : buckets_) {
-      if (kv.second.items.empty()) continue;
-      const auto d = kv.second.items.front().enqueued + cfg_.max_wait;
-      if (!deadline || d < *deadline) deadline = d;
-    }
-    queue_.wait_drain(deadline, drained_);
-    const bool closed = queue_.closed();
+    // An inline cycle meanwhile only empties buckets, so a deadline taken
+    // under the previous cycle's lock is never later than the real one.
+    queue_.wait(deadline);
+    MutexLock lk(mu_);
+    // Drain under the cycle lock: an inline submitter that finds the queue
+    // empty then cannot overtake requests drained but not yet bucketed.
+    const bool closed = queue_.drain(arrivals_);
+    cycle(closed);
+    // Closed: this drain took the last admitted request and the cycle
+    // flushed every bucket. (Inline runs admit before the close and hold
+    // the cycle lock until they finish, so none is still running.)
+    if (closed) return;
+    deadline = next_deadline();
+  }
+}
 
-    if (!drained_.empty()) {
-      // One stamp per drain cycle: every request drained together left the
-      // queue at the same scheduler instant.
-      obs::instant("batcher.drain", drained_.size());
-      const auto drained_at = std::chrono::steady_clock::now();
-      for (Submission& sub : drained_) sub.dequeued = drained_at;
-    }
+double Batcher::hit_rate_after(
+    const Bucket& b, std::chrono::steady_clock::time_point arrival) const {
+  if (!b.last_arrival) return b.hit_rate;
+  const double hit = arrival - *b.last_arrival <= cfg_.max_wait ? 1.0 : 0.0;
+  return b.hit_rate + kHitRateAlpha * (hit - b.hit_rate);
+}
 
-    for (Submission& sub : drained_) {
+bool Batcher::flushes_alone(const transformer::BatchInput& in,
+                            std::chrono::steady_clock::time_point now) const {
+  const auto it = buckets_.find(in.seq);
+  if (it != buckets_.end() && !it->second.items.empty()) return false;
+  // Full on its own, or already due: an arrival at `now` with max_wait 0
+  // has waited it out.
+  if (in.batch >= cfg_.max_batch || now + cfg_.max_wait <= now) return true;
+  // Sparse once this arrival is counted (a cold bucket starts at 1).
+  return it != buckets_.end() &&
+         hit_rate_after(it->second, now) < kFlushBelowHitRate;
+}
+
+std::optional<std::chrono::steady_clock::time_point> Batcher::next_deadline()
+    const {
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  for (const auto& kv : buckets_) {
+    if (kv.second.items.empty()) continue;
+    const auto d = kv.second.items.front().enqueued + cfg_.max_wait;
+    if (!deadline || d < *deadline) deadline = d;
+  }
+  return deadline;
+}
+
+void Batcher::cycle(bool closed) {
+  const CycleScope in_cycle;
+  if (!arrivals_.empty()) {
+    // One stamp per cycle: every request bucketed together left the queue
+    // at the same instant.
+    obs::instant("batcher.drain", arrivals_.size());
+    const auto drained_at = std::chrono::steady_clock::now();
+    for (Submission& sub : arrivals_) {
+      sub.dequeued = drained_at;
       Bucket& b = buckets_[sub.input.seq];
-      if (b.last_arrival) {
-        const double hit =
-            sub.enqueued - *b.last_arrival <= cfg_.max_wait ? 1.0 : 0.0;
-        b.hit_rate += kHitRateAlpha * (hit - b.hit_rate);
-      }
+      b.hit_rate = hit_rate_after(b, sub.enqueued);
       b.last_arrival = sub.enqueued;
       b.sequences += sub.input.batch;
       b.items.push_back(std::move(sub));
     }
+    arrivals_.clear();
+  }
 
-    // Flush buckets that reached the batch threshold.
-    for (auto& kv : buckets_)
-      while (kv.second.sequences >= cfg_.max_batch) flush_chunk(kv.second);
+  // Flush buckets that reached the batch threshold.
+  for (auto& kv : buckets_)
+    while (kv.second.sequences >= cfg_.max_batch) flush_chunk(kv.second);
 
-    // Flush buckets whose oldest member has waited out max_wait, buckets
-    // whose arrivals rarely come within max_wait (flushed early) and, on
-    // shutdown, everything still buffered.
-    const auto now = std::chrono::steady_clock::now();
-    for (auto& kv : buckets_) {
-      Bucket& b = kv.second;
-      const bool sparse = b.hit_rate < kFlushBelowHitRate;
-      while (!b.items.empty()) {
-        const bool due =
-            closed || b.items.front().enqueued + cfg_.max_wait <= now;
-        if (!due && !sparse) break;
-        if (!due) ledger_.record_early_flush();
-        flush_chunk(b);
-      }
+  // Flush buckets whose oldest member has waited out max_wait, buckets
+  // whose arrivals rarely come within max_wait (flushed early) and, on
+  // shutdown, everything still buffered.
+  const auto now = std::chrono::steady_clock::now();
+  for (auto& kv : buckets_) {
+    Bucket& b = kv.second;
+    const bool sparse = b.hit_rate < kFlushBelowHitRate;
+    while (!b.items.empty()) {
+      const bool due =
+          closed || b.items.front().enqueued + cfg_.max_wait <= now;
+      if (!due && !sparse) break;
+      if (!due) ledger_.record_early_flush();
+      flush_chunk(b);
     }
-
-    // Exit once closed: every bucket was flushed above. A submission that
-    // raced the close still sits in the queue (depth > 0) and gets one more
-    // cycle.
-    if (closed && queue_.depth() == 0) return;
   }
 }
 
@@ -138,7 +207,8 @@ void Batcher::finish(const Submission& sub, bool ok,
     // Replay the request's lifecycle as four adjacent complete spans, all
     // carrying the process-global request id so a trace viewer can follow
     // one request across threads (its req.submit instant lands on the
-    // client thread, these spans on the scheduler thread).
+    // client thread, these spans on the thread that ran the cycle: the
+    // scheduler, or the client itself when it ran an idle slot's request).
     const std::uint64_t t0 = obs::trace_ns(sub.enqueued);
     const std::uint64_t t1 = obs::trace_ns(sub.dequeued);
     const std::uint64_t t2 = obs::trace_ns(exec_start);

@@ -35,9 +35,10 @@ Engine::ModelSlot::ModelSlot(std::string model_id,
       model(model_in, nl, cfg.matmul),
       queue(ledger, cfg.admission),
       ws(&pool),
-      // The slot's scheduler thread is the only caller of its model (and of
-      // the slot's workspace); N slots mean N orchestrators, admitted
-      // FIFO-fairly by the process pool.
+      // The batcher's cycle lock serializes every call of the slot's model
+      // (and so of its workspace), whether the scheduler or a submitting
+      // thread runs it; N slots mean N orchestrators, admitted FIFO-fairly
+      // by the process pool.
       batcher(id, cfg, queue, ledger, pool,
               [this](const transformer::BatchInput& in) {
                 return model.logits(in, ws);
@@ -248,8 +249,9 @@ PendingResult Engine::submit(std::string_view model_id,
   }
   // The queue records the submit outcome (admitted / overload / shutdown)
   // in the slot's ledger itself, under the queue mutex, so accounting is
-  // atomic with the queue operation.
-  return slot->queue.submit(std::move(in));
+  // atomic with the queue operation. The batcher runs the request on this
+  // thread when the slot is idle and it would be flushed alone at once.
+  return slot->batcher.submit(std::move(in));
 }
 
 bool Engine::has_model(std::string_view model_id) const {

@@ -9,15 +9,18 @@
 //        ▼
 //   ModelSlot["a"]: RequestQueue ─▶ Batcher (nnlut-sched-a) ─▶ logits
 //   ModelSlot["b"]: RequestQueue ─▶ Batcher (nnlut-sched-b) ─▶ logits
-//        │             the scheduler threads share the process ThreadPool
+//        │             batch cycles share the process ThreadPool
 //        ▼             (FIFO-fair orchestrator admission): shards across
 //   PendingResult      cores, wide SIMD within a shard, per model in turn
 //
-// Determinism: each slot's scheduler is the only caller of its model, only
-// identical-seq requests of the SAME slot merge, and the pool admits
+// At light load the submitting thread runs an idle slot's request itself
+// (see serve/batcher.h); under load requests queue for the scheduler.
+//
+// Determinism: each slot's cycle lock makes its model calls one at a time,
+// only identical-seq requests of the SAME slot merge, and the pool admits
 // orchestrators one at a time — so logits served for any model are
 // bit-identical to direct single-threaded calls regardless of how many
-// other models are being served concurrently.
+// other models are being served concurrently, or which thread ran them.
 //
 // Admission control: each slot bounds its queue depth
 // (AdmissionConfig{max_queue_depth, shed_policy}); at the bound the slot

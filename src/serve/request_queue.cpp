@@ -171,12 +171,14 @@ bool RequestQueue::at_depth_bound() const {
          items_.size() >= admission_.max_queue_depth;
 }
 
-PendingResult RequestQueue::submit(transformer::BatchInput in) {
+PendingResult RequestQueue::submit(transformer::BatchInput in,
+                                   std::optional<Submission>* run_here) {
   auto state = std::make_shared<detail::ResultState>();
   // Evicted states are rejected outside the queue mutex: set_error notifies
   // a client that may immediately re-submit (and take the same mutex).
   std::vector<std::shared_ptr<detail::ResultState>> evicted;
   enum class Refused { kNo, kClosed, kOverload } refused = Refused::kNo;
+  bool queued = false;
   {
     MutexLock lk(mu_);
     if (closed_) {
@@ -207,16 +209,20 @@ PendingResult RequestQueue::submit(transformer::BatchInput in) {
       }
       const std::uint64_t id =
           g_next_request_id.fetch_add(1, std::memory_order_relaxed);
-      items_.push_back(Submission{state, std::move(in),
-                                  std::chrono::steady_clock::now(),
-                                  std::chrono::steady_clock::time_point{},
-                                  id});
-      peak_depth_ = std::max(peak_depth_, items_.size());
+      Submission sub{state, std::move(in), std::chrono::steady_clock::now(),
+                     std::chrono::steady_clock::time_point{}, id};
+      if (run_here != nullptr && items_.empty()) {
+        run_here->emplace(std::move(sub));
+      } else {
+        items_.push_back(std::move(sub));
+        peak_depth_ = std::max(peak_depth_, items_.size());
+        queued = true;
+      }
       ledger_.record_admitted();
       obs::instant("req.submit", id);
-      cv_.notify_all();
     }
   }
+  if (queued) cv_.notify_all();
   for (auto& victim : evicted)
     victim->reject_if_queued(std::make_exception_ptr(
         ServerOverloaded("serve: queue full, oldest request shed "
@@ -245,11 +251,6 @@ void RequestQueue::close() {
   cv_.notify_all();
 }
 
-bool RequestQueue::closed() const {
-  MutexLock lk(mu_);
-  return closed_;
-}
-
 std::size_t RequestQueue::depth() const {
   MutexLock lk(mu_);
   return items_.size();
@@ -268,23 +269,27 @@ RequestQueue::Depths RequestQueue::depths() const {
   return Depths{items_.size(), peak_depth_};
 }
 
-void RequestQueue::wait_drain(
-    std::optional<std::chrono::steady_clock::time_point> deadline,
-    std::vector<Submission>& out) {
-  out.clear();
+void RequestQueue::wait(
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
   UniqueLock lk(mu_);
   while (!closed_ && items_.empty()) {
     if (deadline) {
-      if (cv_.wait_until(lk, *deadline) == std::cv_status::timeout) break;
+      if (cv_.wait_until(lk, *deadline) == std::cv_status::timeout) return;
     } else {
       cv_.wait(lk);
     }
   }
+}
+
+bool RequestQueue::drain(std::vector<Submission>& out) {
+  out.clear();
+  MutexLock lk(mu_);
   out.reserve(items_.size());
   while (!items_.empty()) {
     out.push_back(std::move(items_.front()));
     items_.pop_front();
   }
+  return closed_;
 }
 
 }  // namespace nnlut::serve

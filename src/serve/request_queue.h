@@ -2,11 +2,14 @@
 // tokenized requests (a BatchInput of one or more fixed-length sequences)
 // and receive a PendingResult — a promise/future pair over the logits
 // Tensor with cancellation and per-request error propagation. The batcher's
-// scheduler thread is the single consumer: it blocks on wait_drain() until
-// work arrives, a flush deadline passes, or the queue closes.
+// scheduler thread is the single consumer of queued requests: it blocks in
+// wait() until work arrives, a flush deadline passes, or the queue closes,
+// then drain()s. A submitter that runs an idle slot's request itself still
+// admits it here (submit with `run_here`), so admission and its accounting
+// have one owner whichever thread executes the request.
 //
 // Lifecycle of a request:
-//   submit() -> kQueued -> claim() by the scheduler -> kRunning
+//   submit() -> kQueued -> claim() by the executing thread -> kRunning
 //            -> set_value / set_error -> done (get() returns / throws)
 // cancel() succeeds only in kQueued: the result is rejected immediately and
 // the scheduler discards the submission when it drains it. A request that
@@ -173,13 +176,15 @@ class PendingResult {
   std::shared_ptr<detail::ResultState> state_;
 };
 
-/// One queue entry, handed to the batcher by wait_drain().
+/// One admitted request, handed to the batcher by drain() (or straight back
+/// to an inline submitter by submit()).
 struct Submission {
   std::shared_ptr<detail::ResultState> state;
   transformer::BatchInput input;
   std::chrono::steady_clock::time_point enqueued;
-  /// Stamped by the batcher when it drains this entry; epoch (i.e. unset)
-  /// until then. Feeds the queue-wait stage histogram and trace spans.
+  /// Stamped by the batcher when this entry enters a batch cycle; epoch
+  /// (i.e. unset) until then. Feeds the queue-wait stage histogram and
+  /// trace spans.
   std::chrono::steady_clock::time_point dequeued{};
   /// PROCESS-GLOBAL request id (atomic counter across every queue), so
   /// trace spans from different threads — and different model slots —
@@ -202,11 +207,16 @@ class RequestQueue {
   /// bound.
   explicit RequestQueue(StatsLedger& ledger, AdmissionConfig admission = {});
 
-  /// Enqueue a request. After close() the request is rejected immediately
+  /// Admit a request. After close() the request is rejected immediately
   /// (the returned handle's get() throws RequestCancelled); at the depth
   /// bound, admission control sheds per the policy. Every outcome lands in
-  /// the ledger.
-  PendingResult submit(transformer::BatchInput in);
+  /// the ledger. An admitted request is queued and the consumer woken —
+  /// except when `run_here` is set and the queue is empty: then the
+  /// admitted submission (id and enqueue stamp included) is moved into
+  /// `*run_here` for the caller to execute itself, nothing is queued and
+  /// the consumer is not woken, so a queued request is never bypassed.
+  PendingResult submit(transformer::BatchInput in,
+                       std::optional<Submission>* run_here = nullptr);
 
   /// Reject-and-enqueue-nothing variant: returns a handle already rejected
   /// with `err`. Used by the server front-end for failed validation.
@@ -214,7 +224,6 @@ class RequestQueue {
 
   /// Stop accepting submissions and wake the consumer. Idempotent.
   void close();
-  bool closed() const;
 
   /// Requests currently queued (not yet drained).
   std::size_t depth() const;
@@ -233,13 +242,16 @@ class RequestQueue {
   Depths depths() const;
 
   /// Consumer side: block until the queue is non-empty, `deadline` passes,
-  /// or close() is called; then clear `out` and move everything queued into
-  /// it (possibly nothing, on timeout or close), reusing its capacity. The
-  /// batcher drains into one long-lived vector so the steady-state
-  /// scheduler cycle performs no heap allocation of its own (the queue's
-  /// deque nodes are submit-side and out of scope).
-  void wait_drain(std::optional<std::chrono::steady_clock::time_point> deadline,
-                  std::vector<Submission>& out);
+  /// or close() is called. Takes nothing; drain() does.
+  void wait(std::optional<std::chrono::steady_clock::time_point> deadline);
+
+  /// Consumer side, non-blocking: clear `out` and move everything queued
+  /// into it, reusing its capacity (the batcher drains into one long-lived
+  /// vector, so its steady-state cycle performs no heap allocation of its
+  /// own; the queue's deque nodes are submit-side and out of scope).
+  /// Returns whether the queue is closed, read under the same lock: when it
+  /// is, `out` holds the last request the queue will ever admit.
+  bool drain(std::vector<Submission>& out);
 
  private:
   /// The one depth-bound test, shared by submit() and overloaded().

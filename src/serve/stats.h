@@ -2,8 +2,8 @@
 // ledger, and EngineStats aggregates them.
 //
 // StatsLedger is the single mutex-guarded accounting object of the serving
-// subsystem: the submit path records admission decisions, the batcher's
-// scheduler thread records execution events, and snapshot() produces a
+// subsystem: the submit path records admission decisions, the thread that
+// runs a batch cycle records execution events, and snapshot() produces a
 // consistent SlotStats. Wall-clock exists only here, never in results.
 //
 // Reconciliation contract (exact after a full drain / shutdown):
@@ -69,8 +69,8 @@ class LatencyHistogram {
 };
 
 /// Stage decomposition of one served request's latency, measured by the
-/// batcher's scheduler thread (wall-clock lives only in serve//obs/):
-///   queue_wait  submit (enqueue) -> drained by the scheduler
+/// thread that ran its batch cycle (wall-clock lives only in serve//obs/):
+///   queue_wait  submit (enqueue) -> taken into a batch cycle
 ///   batch_wait  drained -> its batch starts executing (bucket residence)
 ///   exec        model invocation (merged batch) wall time
 ///   resolve     execution done -> result handed to the waiting client
@@ -125,9 +125,9 @@ struct SlotStats {
 };
 
 /// Thread-safe serving counters + latency histogram for one model slot.
-/// Submit-side records run on client threads, execution-side records on the
-/// slot's scheduler thread; one mutex covers both so snapshots are
-/// consistent.
+/// Submit-side records run on client threads, execution-side records on
+/// the thread running the slot's batch cycle; one mutex covers both so
+/// snapshots are consistent.
 class StatsLedger {
  public:
   // --- submit path (client threads) ---
@@ -141,7 +141,7 @@ class StatsLedger {
   /// taken after the victim observes ServerOverloaded always includes it.
   void record_shed_oldest();
 
-  // --- execution path (scheduler thread) ---
+  // --- execution path (batch cycle) ---
   /// After each executed batch: member request count and merged sequence
   /// count (occupancy).
   void record_batch(std::size_t requests, std::size_t sequences);

@@ -14,6 +14,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "net/protocol.h"
 #include "net/tcp_server.h"
 #include "numerics/math.h"
+#include "obs/trace.h"
 #include "runtime/thread_pool.h"
 #include "serve/engine.h"
 #include "transformer/infer.h"
@@ -412,6 +415,69 @@ TEST(NetLoopback, ServedBitsIdenticalToDirectForAllBackends) {
         ASSERT_EQ(sb, db) << cases[s].id << " request " << i << " elem " << j;
       }
     }
+}
+
+/// Thread ids of the exported complete spans named `name` (with span id
+/// `id`, when given), read from the one-event-per-line trace export.
+std::vector<std::string> span_tids(const std::string& trace,
+                                   const std::string& name,
+                                   std::optional<std::uint64_t> id = {}) {
+  std::vector<std::string> out;
+  std::istringstream lines(trace);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"ph\":\"X\"") == std::string::npos ||
+        line.find("\"name\":\"" + name + "\"") == std::string::npos)
+      continue;
+    if (id && line.find("\"args\":{\"id\":" + std::to_string(*id) + "}") ==
+                  std::string::npos)
+      continue;
+    const std::size_t at = line.find("\"tid\":") + 6;
+    out.push_back(line.substr(at, line.find(',', at) - at));
+  }
+  return out;
+}
+
+// Run to completion at light load: with the slot idle and max_wait 0, the
+// session reader that decoded the frame runs the batch and sends the
+// result itself. No scheduler or writer thread touches the request.
+TEST(NetLoopback, IdleSlotRequestRunsAndRepliesOnItsSessionThread) {
+  Rng rng(74);
+  TaskModel model(tiny(), HeadKind::kClassify, 2, rng);
+  ExactNonlinearities nl(model.config().act);
+  serve::Engine engine(serve::EngineConfig{/*threads=*/1});
+  serve::SlotConfig scfg;
+  scfg.max_wait = 0us;
+  engine.register_model("m", model, nl, scfg);
+  TcpServer server(engine);
+  Client client("127.0.0.1", server.port());
+  Rng req_rng(75);
+  const BatchInput in = random_request(tiny(), 1, 8, req_rng);
+
+  obs::TraceRecorder& rec = obs::TraceRecorder::instance();
+  rec.enable(256);
+  const std::uint64_t id = client.submit("m", in);
+  const Completion done = client.await(id);
+  server.stop();  // joins the session threads: their spans are recorded
+  rec.disable();
+  ASSERT_TRUE(done.ok) << done.message;
+
+  std::ostringstream os;
+  rec.export_json(os);
+  const std::string trace = os.str();
+  const std::vector<std::string> read = span_tids(trace, "net.read_frame", id);
+  ASSERT_EQ(read.size(), 1u) << trace;
+  const std::vector<std::string> exec = span_tids(trace, "batch.exec");
+  ASSERT_EQ(exec.size(), 1u) << trace;
+  EXPECT_EQ(exec[0], read[0]) << "batch ran off the session reader";
+  const std::vector<std::string> write =
+      span_tids(trace, "net.write_frame", id);
+  ASSERT_EQ(write.size(), 1u) << trace;
+  EXPECT_EQ(write[0], read[0]) << "reply sent off the session reader";
+  for (const char* stage :
+       {"req.queue_wait", "req.batch_wait", "req.exec", "req.resolve"})
+    EXPECT_EQ(span_tids(trace, stage), read) << stage;
+  expect_net_identity(server.stats());
 }
 
 TEST(NetLoopback, StatsVerbServesTheScrapePage) {

@@ -10,6 +10,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <functional>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -22,6 +25,8 @@
 #include "serve/batcher.h"
 #include "serve/request_queue.h"
 #include "serve/stats.h"
+#include "transformer/backends.h"
+#include "transformer/infer.h"
 
 namespace nnlut::serve {
 namespace {
@@ -68,12 +73,14 @@ struct BatchRecorder {
   }
 };
 
-/// Drains `q` into a fresh vector (the batcher recycles one instead).
+/// Waits on `q`, then drains it into a fresh vector (the batcher recycles
+/// one instead).
 std::vector<Submission> drain(
     RequestQueue& q,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
   std::vector<Submission> out;
-  q.wait_drain(deadline, out);
+  q.wait(deadline);
+  q.drain(out);
   return out;
 }
 
@@ -704,6 +711,183 @@ TEST(Batcher, ClusteredArrivalsStillMerge) {
   ASSERT_EQ(rec.calls.size(), 4u);
   for (auto& c : rec.calls) EXPECT_EQ(c.first, 4u);
   EXPECT_EQ(ledger.snapshot().batches_flushed_early, 0u);
+}
+
+// ----------------------------------------------------- inline submits ---
+
+/// A run function whose first call blocks until open() — long enough for a
+/// test to act while a batch cycle is held — and that records the thread
+/// each call ran on, keyed by the first token of the batch.
+struct GatedRun {
+  std::latch entered{1};
+  std::latch gate{1};
+  std::mutex mu;
+  std::vector<std::pair<int, std::thread::id>> calls;
+  std::function<Tensor(const transformer::BatchInput&)> model = toy_model;
+
+  Batcher::RunFn fn() {
+    return [this](const transformer::BatchInput& in) {
+      bool first = false;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        first = calls.empty();
+        calls.emplace_back(in.token_ids.front(), std::this_thread::get_id());
+      }
+      if (first) {
+        entered.count_down();
+        gate.wait();
+      }
+      return model(in);
+    };
+  }
+  void open() { gate.count_down(); }
+  std::thread::id thread_of(int first_token) {
+    std::lock_guard<std::mutex> lk(mu);
+    for (const auto& c : calls)
+      if (c.first == first_token) return c.second;
+    return {};
+  }
+};
+
+TEST(BatcherInline, IdleSlotRunsTheRequestOnTheSubmittingThread) {
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
+  std::thread::id ran_on;
+  Batcher b("test", {/*max_batch=*/8, /*max_wait=*/0us}, q, ledger, pool,
+            [&](const transformer::BatchInput& in) {
+              ran_on = std::this_thread::get_id();
+              return toy_model(in);
+            });
+  PendingResult r = b.submit(make_request(1, 8, 3));
+  // Resolved before submit returned, on this thread, with no queueing.
+  EXPECT_TRUE(r.ready());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(r.get().at(0, 0), 24.0f);
+  EXPECT_EQ(q.depths().peak, 0u);
+  const SlotStats s = ledger.snapshot();
+  EXPECT_EQ(s.submitted, 1u);
+  EXPECT_EQ(s.completed, 1u);
+  EXPECT_EQ(s.batches, 1u);
+}
+
+TEST(BatcherInline, WaitingBucketQueuesForTheScheduler) {
+  // A cold bucket with a real max_wait is not sparse: the request would
+  // wait for batch-mates, so it is queued, and max_batch then flushes it
+  // together with the next one.
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
+  BatchRecorder rec;
+  Batcher b("test", {/*max_batch=*/2, /*max_wait=*/10min}, q, ledger, pool,
+            rec.fn());
+  PendingResult a = b.submit(make_request(1, 8, 1));
+  PendingResult c = b.submit(make_request(1, 8, 2));
+  EXPECT_EQ(a.get().at(0, 0), 8.0f);
+  EXPECT_EQ(c.get().at(0, 0), 16.0f);
+  std::lock_guard<std::mutex> lk(rec.mu);
+  ASSERT_EQ(rec.calls.size(), 1u);
+  EXPECT_EQ(rec.calls[0].first, 2u);
+}
+
+TEST(BatcherInline, BusyCycleQueuesForTheSchedulerAndMatchesDirectBits) {
+  // Hold the slot's cycle: a helper thread's request runs inline and blocks
+  // in the model. A submit meanwhile must not run inline; it queues, the
+  // scheduler runs it once the cycle is free, and its logits are the bits
+  // of a direct InferenceModel::logits call.
+  using namespace nnlut::transformer;
+  ModelConfig cfg = ModelConfig::roberta_like();
+  cfg.vocab = 32;
+  cfg.hidden = 16;
+  cfg.layers = 2;
+  cfg.heads = 2;
+  cfg.ffn = 32;
+  cfg.max_seq = 12;
+  Rng rng(91);
+  const TaskModel model(cfg, HeadKind::kClassify, 2, rng);
+  ExactNonlinearities nl(model.config().act);
+  InferenceModel served(model, nl);
+  InferenceModel direct(model, nl);
+  Workspace ws;
+
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
+  GatedRun run;
+  run.model = [&](const BatchInput& in) { return served.logits(in, ws); };
+  Batcher b("test", {/*max_batch=*/8, /*max_wait=*/0us}, q, ledger, pool,
+            run.fn());
+
+  PendingResult held;
+  std::thread holder([&] { held = b.submit(make_request(1, 8, 1)); });
+  run.entered.wait();
+
+  BatchInput in = make_request(1, 8, 2);
+  in.token_ids = {2, 5, 7, 11, 13, 17, 19, 23};
+  PendingResult queued = b.submit(in);
+  // The cycle is held, so the scheduler cannot even drain it yet.
+  EXPECT_FALSE(queued.ready());
+  EXPECT_EQ(q.depth(), 1u);
+
+  run.open();
+  holder.join();
+  EXPECT_TRUE(held.ready());
+  const Tensor got = queued.get();
+  const std::thread::id ran_on = run.thread_of(2);
+  EXPECT_NE(ran_on, std::thread::id{});
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  EXPECT_NE(ran_on, run.thread_of(1));  // not the holder either
+
+  const Tensor want = direct.logits(in);
+  ASSERT_EQ(got.shape(), want.shape());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    std::uint32_t g = 0, w = 0;
+    std::memcpy(&g, got.data() + i, sizeof g);
+    std::memcpy(&w, want.data() + i, sizeof w);
+    ASSERT_EQ(g, w) << "elem " << i;
+  }
+  EXPECT_EQ(ledger.snapshot().completed, 2u);
+}
+
+TEST(BatcherInline, ResubmitFromAResolveCallbackCompletes) {
+  // A request resolved inside a batch cycle runs its on_ready callback
+  // there. A callback that submits to the same slot again must neither
+  // deadlock nor re-lock the cycle it runs in: it queues, and the
+  // scheduler's next cycle serves it.
+  StatsLedger ledger;
+  runtime::BufferPool pool;
+  RequestQueue q(ledger);
+  GatedRun run;
+  Batcher b("test", {/*max_batch=*/8, /*max_wait=*/0us}, q, ledger, pool,
+            run.fn());
+
+  // Queue `first` behind a held cycle, so its callback is registered before
+  // it resolves and fires on the scheduler, inside the cycle.
+  PendingResult held;
+  std::thread holder([&] { held = b.submit(make_request(1, 8, 1)); });
+  run.entered.wait();
+  PendingResult first = b.submit(make_request(1, 8, 2));
+  PendingResult second;
+  std::thread::id callback_on;
+  std::latch resubmitted(1);
+  first.on_ready([&] {
+    callback_on = std::this_thread::get_id();
+    second = b.submit(make_request(1, 8, 3));
+    resubmitted.count_down();
+  });
+  run.open();
+  holder.join();
+
+  resubmitted.wait();
+  EXPECT_NE(callback_on, std::this_thread::get_id());
+  EXPECT_EQ(first.get().at(0, 0), 16.0f);
+  EXPECT_EQ(second.get().at(0, 0), 24.0f);
+  EXPECT_EQ(held.get().at(0, 0), 8.0f);
+  EXPECT_EQ(run.thread_of(3), run.thread_of(2));  // both on the scheduler
+  b.stop();
+  const SlotStats s = ledger.snapshot();
+  EXPECT_EQ(s.submitted, 3u);
+  EXPECT_EQ(s.completed, 3u);
 }
 
 // ------------------------------------------------------------ histogram ---
