@@ -11,7 +11,9 @@
 // encoder's matmul shapes and on one transposed-B and one transposed-A +
 // accumulate shape, with a GFLOP/s counter. BM_BlockOp/<backend>/<op>
 // times each backend's GELU / softmax / LayerNorm block call on BERT-base
-// shapes, with a Melem/s counter.
+// shapes, with a Melem/s counter. BM_ForkJoin/lanes:<n> times one round
+// trip of the process thread pool: an empty parallel_for with one no-op
+// shard per lane, wall time next to the whole process's CPU time.
 //
 // Unless --benchmark_out is given, results are also written as
 // machine-readable JSON to BENCH_kernel_throughput.json.
@@ -553,6 +555,29 @@ void register_tier_benchmarks() {
         ->Arg(128);
   }
 }
+
+// Fork/join round trip: an empty parallel_for over `lanes` items at grain 1,
+// so every lane runs one no-op shard. Real time is the round trip the
+// caller waits for; the CPU time is the whole process's, workers included,
+// so it also shows what waking and parking the workers burns.
+void BM_ForkJoin(benchmark::State& state) {
+  const auto lanes = static_cast<std::size_t>(state.range(0));
+  runtime::set_runtime_config({lanes});
+  const std::uint64_t jobs0 = runtime::thread_pool_stats().jobs;
+  for (auto _ : state)
+    runtime::parallel_for(0, lanes, 1, [](std::size_t, std::size_t) {});
+  if (runtime::thread_pool_stats().jobs - jobs0 !=
+      static_cast<std::uint64_t>(state.iterations()))
+    state.SkipWithError("parallel_for did not fork once per iteration");
+  runtime::set_runtime_config({});
+}
+BENCHMARK(BM_ForkJoin)
+    ->Arg(2)
+    ->Arg(4)
+    ->ArgName("lanes")
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime();
 
 void BM_NnToLutTransform(benchmark::State& state) {
   const ApproxNet& net = bundle().gelu.net;

@@ -20,6 +20,10 @@
 // artifact shows what admission control trades: bounded queues cap p95
 // under burst at the cost of shed work.
 //
+// Both build their Engine once per benchmark run, outside the timed loop:
+// an iteration is every client's request stream, not an Engine's start-up
+// and shutdown.
+//
 // Unless --benchmark_out is given, results are also written as
 // machine-readable JSON to BENCH_serving_throughput.json.
 #include <benchmark/benchmark.h>
@@ -90,10 +94,11 @@ void BM_ServingClosedLoop(benchmark::State& state) {
           1000 + c * 1001 + static_cast<std::uint64_t>(k), kSeq,
           bench_config().vocab));
 
-  double occupancy = 0.0;
+  // One Engine per benchmark run, outside the timed loop: an iteration is
+  // the clients' request streams, not an Engine's start-up and shutdown.
+  serve::Engine engine(serve::EngineConfig{/*threads=*/0});  // all cores
+  engine.register_model("lut-fp32", fixture().model, *fixture().lut, scfg);
   for (auto _ : state) {
-    serve::Engine engine(serve::EngineConfig{/*threads=*/0});  // all cores
-    engine.register_model("lut-fp32", fixture().model, *fixture().lut, scfg);
     std::vector<std::thread> threads;
     threads.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
@@ -105,9 +110,10 @@ void BM_ServingClosedLoop(benchmark::State& state) {
       });
     }
     for (auto& t : threads) t.join();
-    occupancy = engine.model_stats("lut-fp32").mean_batch_occupancy;
-    engine.shutdown();
   }
+  const double occupancy =
+      engine.model_stats("lut-fp32").mean_batch_occupancy;
+  engine.shutdown();
 
   const auto total_requests =
       static_cast<std::size_t>(state.iterations()) * clients *
@@ -145,14 +151,13 @@ void BM_EngineMultiModel(benchmark::State& state) {
           1000 + c * 2003 + static_cast<std::uint64_t>(k), kSeq,
           bench_config().vocab));
 
-  std::uint64_t submitted = 0, shed = 0;
-  double p95[2] = {0.0, 0.0};
-  double occupancy = 0.0;
+  // One Engine per benchmark run, outside the timed loop; the counters
+  // below cover every iteration of the run.
+  serve::Engine engine(serve::EngineConfig{/*threads=*/0});
+  engine.register_model(kModels[0], fixture().model, *fixture().lut, scfg);
+  engine.register_model(kModels[1], fixture().model, *fixture().lut_int32,
+                        scfg);
   for (auto _ : state) {
-    serve::Engine engine(serve::EngineConfig{/*threads=*/0});
-    engine.register_model(kModels[0], fixture().model, *fixture().lut, scfg);
-    engine.register_model(kModels[1], fixture().model, *fixture().lut_int32,
-                          scfg);
     std::vector<std::thread> threads;
     threads.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
@@ -170,14 +175,14 @@ void BM_EngineMultiModel(benchmark::State& state) {
       });
     }
     for (auto& t : threads) t.join();
-    engine.shutdown();
-    const serve::EngineStats stats = engine.stats();
-    submitted = stats.total.submitted + stats.total.rejected;
-    shed = stats.total.rejected_overload;
-    occupancy = stats.total.mean_batch_occupancy;
-    for (int mdl = 0; mdl < 2; ++mdl)
-      p95[mdl] = stats.models.at(kModels[mdl]).hist_total.quantile(0.95);
   }
+  engine.shutdown();
+  const serve::EngineStats stats = engine.stats();
+  const std::uint64_t submitted = stats.total.submitted + stats.total.rejected;
+  const std::uint64_t shed = stats.total.rejected_overload;
+  double p95[2];
+  for (int mdl = 0; mdl < 2; ++mdl)
+    p95[mdl] = stats.models.at(kModels[mdl]).hist_total.quantile(0.95);
 
   const auto total_requests =
       static_cast<std::size_t>(state.iterations()) * clients *
@@ -191,7 +196,7 @@ void BM_EngineMultiModel(benchmark::State& state) {
           : 0.0;
   state.counters["p95_us_lut_fp32"] = p95[0];
   state.counters["p95_us_lut_int32"] = p95[1];
-  state.counters["batch_occupancy"] = occupancy;
+  state.counters["batch_occupancy"] = stats.total.mean_batch_occupancy;
   nnlut::runtime::set_runtime_config({});
 }
 

@@ -4,12 +4,15 @@
 // slope / intercept arrays padded to a power-of-two entry count (padding
 // breakpoints are +inf / INT32_MAX sentinels and padded segments replicate
 // the last real segment, so padded lookups return the same value as the real
-// last segment). Evaluation is batch-granular and branchless: every table
-// size selects its segment with one comparator-bank scan, structured
-// breakpoint-outer / element-inner so the compiler vectorizes the
-// compare-and-accumulate over contiguous elements. This mirrors the paper's
-// hardware (Eq. 4): an N-entry unit is a parallel comparator bank feeding
-// one MAC, and Sec. 4.1 finds 16 entries enough.
+// last segment). Evaluation is batch-granular and branchless. The paper's
+// hardware (Eq. 4) selects the segment with a parallel comparator bank
+// feeding one MAC: all N-1 comparators fire in one cycle, and Sec. 4.1
+// finds 16 entries enough. On a CPU every comparator costs an instruction,
+// so the plans select by bisection instead: log2(N) steps over the sorted,
+// padded breakpoints, each one probe and one `!(x < d)` compare
+// (core/lut_kernel_simd_detail.h). The breakpoints are non-decreasing (FP16
+// rounding and INT32 quantization are monotone), so `!(x < d_j)` holds on a
+// prefix of j and the bisection returns the bank's count for every input.
 //
 // Segment selection reproduces std::upper_bound semantics exactly, including
 // for NaN (every comparison `!(x < d)` is true, so NaN lands in the padded
@@ -22,7 +25,7 @@
 // set_simd_tier. Every tier performs the identical IEEE
 // operation sequence, so results are bit-identical across tiers; plan
 // arrays are allocated on 64-byte boundaries (core/aligned_alloc.h) so a
-// padded comparator bank is loaded with aligned full-register table loads.
+// padded table is loaded with aligned full-register loads.
 //
 // Three precision-specialized plans live here:
 //   LutKernel       FP32 multiply-add,

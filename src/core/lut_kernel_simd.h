@@ -1,14 +1,15 @@
 // Runtime-dispatched SIMD tiers for the compiled LUT plans.
 //
 // The paper's hardware evaluates an N-entry table with a *parallel*
-// comparator bank feeding one MAC (Eq. 4); the software analogue is a wide
-// vector lane set: one AVX2/AVX-512 register holds 8/16 activations, every
-// breakpoint is compared against all of them at once, and the selected
-// (slope, intercept) pairs are fetched with a register permute (banks that
-// fit one register, or a register pair on AVX-512) or a hardware gather
-// (larger tables). The scan is the only segment-selection algorithm: it
-// handles any table size, and its cost grows with the entry count, as the
-// hardware bank's area does.
+// comparator bank feeding one MAC (Eq. 4): every comparator fires in the
+// same cycle. That is the hardware form. The CPU form is a log2(N)
+// bisection with identical results: one AVX2/AVX-512 register holds 8/16
+// activations, each step fetches every lane's probe breakpoint and compares
+// all lanes at once, and the selected (slope, intercept) pairs are fetched
+// the same way — a register permute (tables that fit one register, or a
+// register pair) or a hardware gather (larger tables). Every tier and
+// precision runs that one bisection (core/lut_kernel_simd_detail.h has the
+// scalar form and why it equals the bank's count).
 //
 // Dispatch model:
 //   - the ISA tier is resolved ONCE at first use from CPUID
@@ -25,8 +26,9 @@
 //     available set), `std::nullopt` restores the automatic choice.
 //
 // Determinism contract (ISA-invariance): every tier performs the exact same
-// IEEE operation sequence per element as the scalar reference — compare,
-// gather, one multiply, one add, with no FMA contraction — so evaluation is
+// IEEE operation sequence per element as the scalar reference — the
+// bisection's compares, a fetch, one multiply, one add, with no FMA
+// contraction — so evaluation is
 // bit-identical across tiers for all inputs including values exactly on
 // breakpoints, ±inf and NaN. This extends the repo's existing guarantee
 // (thread-count- and batch-invariant results) to the ISA dimension; the

@@ -1,13 +1,15 @@
 // AVX2 tier of the LUT plan evaluators: 8 activations per register.
 //
-// The comparator bank of Eq. 4 maps to `_mm256_cmp_ps(x, d_j, _CMP_NLT_UQ)`
-// per breakpoint — one vector compare evaluates 8 comparators at once (the
-// scan loop keeps 4 vectors in flight per breakpoint), and the
-// mask-accumulate reproduces the scalar index formula (count of
-// breakpoints with !(x < d), NaN landing in the padded tail) exactly.
-// (Slope, intercept) fetch is a vpermps register permute when the padded
-// bank fits one register (<= 8 entries) and a _mm256_i32gather_ps / _epi32
-// gather otherwise; the scan itself is the same for every table size.
+// Segment selection is the bisection of detail::fill_indices on 8 lanes:
+// log2(padded entries) steps, each one probe fetch, one
+// `_mm256_cmp_ps(x, d, _CMP_NLT_UQ)` (on the INT32 grid, the complement of
+// `d > x`) and one masked add, with kBisectVectors vectors in flight. The
+// predicate is exactly the comparator of Eq. 4's bank, so the index (and
+// NaN landing in the padded tail) matches the scalar tier. Breakpoint
+// probes and the (slope, intercept) pair come from the same table form:
+// one register for <= 8 padded entries (vpermps / vpermd), a register pair
+// for exactly 16 (two vpermps and a blend on index bit 3), and a
+// _mm256_i32gather_ps / _epi32 gather for larger tables.
 //
 // FP16 plans store FP32 images of half-rounded constants and round every
 // MAC intermediate through binary16. This tier replaces the software
@@ -44,74 +46,168 @@
 namespace nnlut::simd {
 namespace {
 
+/// One bisection step's increment: `step` in the lanes where !(x < d).
+/// FP32: _CMP_NLT_UQ is exactly !(x < d), true for x >= d and for NaN.
+/// INT32: the lanes where d > x are cleared (padded INT32_MAX sentinels
+/// never pass because the quantizer saturates below them).
+inline __m256i nlt_step(__m256 x, __m256 d, __m256i step) {
+  return _mm256_and_si256(_mm256_castps_si256(_mm256_cmp_ps(x, d, _CMP_NLT_UQ)),
+                          step);
+}
+inline __m256i nlt_step(__m256i qx, __m256i d, __m256i step) {
+  return _mm256_andnot_si256(_mm256_cmpgt_epi32(d, qx), step);
+}
+
+/// Plan tables in the form their padded size allows, each with a per-lane
+/// fetch tab[i]: up to 8 entries in one register, exactly 16 in a register
+/// pair, larger ones in memory.
+template <typename T>
+struct Lanes;
+template <>
+struct Lanes<float> {
+  using Vec = __m256;
+};
+template <>
+struct Lanes<std::int32_t> {
+  using Vec = __m256i;
+};
+template <typename T>
+struct Reg {
+  typename Lanes<T>::Vec r;
+};
+template <typename T>
+struct RegPair {
+  typename Lanes<T>::Vec lo, hi;
+};
+template <typename T>
+struct Mem {
+  const T* p;
+};
+
+inline __m256 fetch(const Reg<float>& t, __m256i i) {
+  return _mm256_permutevar8x32_ps(t.r, i);
+}
+inline __m256i fetch(const Reg<std::int32_t>& t, __m256i i) {
+  return _mm256_permutevar8x32_epi32(t.r, i);
+}
+/// vpermps reads index bits 0-2; bit 3, moved to the sign, picks the half.
+inline __m256 fetch(const RegPair<float>& t, __m256i i) {
+  return _mm256_blendv_ps(_mm256_permutevar8x32_ps(t.lo, i),
+                          _mm256_permutevar8x32_ps(t.hi, i),
+                          _mm256_castsi256_ps(_mm256_slli_epi32(i, 28)));
+}
+inline __m256i fetch(const RegPair<std::int32_t>& t, __m256i i) {
+  return _mm256_castps_si256(_mm256_blendv_ps(
+      _mm256_castsi256_ps(_mm256_permutevar8x32_epi32(t.lo, i)),
+      _mm256_castsi256_ps(_mm256_permutevar8x32_epi32(t.hi, i)),
+      _mm256_castsi256_ps(_mm256_slli_epi32(i, 28))));
+}
+inline __m256 fetch(const Mem<float>& t, __m256i i) {
+  return _mm256_i32gather_ps(t.p, i, 4);
+}
+inline __m256i fetch(const Mem<std::int32_t>& t, __m256i i) {
+  return _mm256_i32gather_epi32(t.p, i, 4);
+}
+
 // Lane masks for _mm256_maskload_*: window of k leading -1 lanes starting
 // at kLaneMask + (8 - k).
 alignas(32) constexpr std::int32_t kLaneMask[16] = {-1, -1, -1, -1, -1, -1,
                                                     -1, -1, 0,  0,  0,  0,
                                                     0,  0,  0,  0};
 
-inline __m256i leading_lanes(std::size_t k) {
+/// The first k <= 8 entries of a table, zero above.
+inline __m256i leading(std::size_t k) {
   return _mm256_loadu_si256(
       reinterpret_cast<const __m256i*>(kLaneMask + (8 - k)));
 }
-
-/// One comparator of the 8-lane bank scan. FP32: _CMP_NLT_UQ is exactly
-/// !(x < d), true for x >= d and for NaN, and its -1 lanes are subtracted
-/// to count. INT32: the -1 lanes of x < d are added, and scan_done counts
-/// them down from nb (padded INT32_MAX sentinels never fire because the
-/// quantizer saturates below them).
-inline __m256i scan_step(__m256i idx, __m256 x, const float* d) {
-  const __m256 vd = _mm256_broadcast_ss(d);
-  const __m256 ge = _mm256_cmp_ps(x, vd, _CMP_NLT_UQ);
-  return _mm256_sub_epi32(idx, _mm256_castps_si256(ge));
+inline Reg<float> reg(const float* p, std::size_t k) {
+  return {_mm256_maskload_ps(p, leading(k))};
 }
-inline __m256i scan_step(__m256i acc, __m256i qx, const std::int32_t* d) {
-  return _mm256_add_epi32(acc, _mm256_cmpgt_epi32(_mm256_set1_epi32(*d), qx));
+inline Reg<std::int32_t> reg(const std::int32_t* p, std::size_t k) {
+  return {_mm256_maskload_epi32(p, leading(k))};
 }
-inline __m256i scan_done(__m256i idx, __m256, std::size_t) { return idx; }
-inline __m256i scan_done(__m256i acc, __m256i, std::size_t nb) {
-  return _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(nb)), acc);
+/// 8 < k <= 16 entries (15 breakpoints or 16 segments).
+inline RegPair<float> reg_pair(const float* p, std::size_t k) {
+  return {_mm256_loadu_ps(p), _mm256_maskload_ps(p + 8, leading(k - 8))};
+}
+inline RegPair<std::int32_t> reg_pair(const std::int32_t* p, std::size_t k) {
+  return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
+          _mm256_maskload_epi32(p + 8, leading(k - 8))};
 }
 
-/// Comparator-bank scan of V vectors of 8 lanes (FP32 or quantized INT32):
-/// idx counts the breakpoints each lane does not lie below. The V vectors
-/// share each breakpoint and run V independent compare / accumulate
-/// chains; per lane the sequence is the same for any V.
-template <int V, typename Vec, typename Bp>
-inline void scan8(const Vec (&x)[V], const Bp* bp, std::size_t nb,
-                  __m256i (&idx)[V]) {
-  for (int v = 0; v < V; ++v) idx[v] = _mm256_setzero_si256();
-  for (std::size_t j = 0; j < nb; ++j)
-    for (int v = 0; v < V; ++v) idx[v] = scan_step(idx[v], x[v], bp + j);
-  for (int v = 0; v < V; ++v) idx[v] = scan_done(idx[v], x[v], nb);
+/// Runs body(bp, s, t) with the plan's breakpoint, slope and intercept
+/// tables (nb breakpoints, nb + 1 segments) in the form their padded size
+/// allows, and returns what it returns.
+template <typename Bp, typename St, typename Body>
+inline std::size_t with_tables(const Bp* bp, std::size_t nb, const St* s,
+                               const St* t, Body body) {
+  if (nb + 1 <= 8) return body(reg(bp, nb), reg(s, nb + 1), reg(t, nb + 1));
+  if (nb + 1 == 16)
+    return body(reg_pair(bp, nb), reg_pair(s, 16), reg_pair(t, 16));
+  return body(Mem<Bp>{bp}, Mem<St>{s}, Mem<St>{t});
 }
 
-/// Vectors per trip of the comparator-scan loop below.
-constexpr int kScanVectors = 4;
+/// Vectors per trip of the bisection loop below.
+constexpr int kBisectVectors = 4;
 
-/// The comparator-scan loop over p[0, n) in steps of 8 lanes. `load` maps
-/// 8 inputs to the values the bank compares (the FP32 inputs, their
-/// binary16-rounded images, or the quantized INT32 grid values); `finish`
-/// fetches, multiplies-adds and stores one vector from those values and
-/// its segment indices. kScanVectors vectors per trip keep their compare
-/// chains in flight together, the remainder goes one vector at a time.
-/// Returns where the scalar tail starts.
-template <typename Bp, typename Load, typename Finish>
-inline std::size_t scan_loop8(float* p, std::size_t n, const Bp* bp,
-                              std::size_t nb, Load load, Finish finish) {
+/// Segment indices of V vectors of 8 lanes (FP32 or quantized INT32), the
+/// steps of detail::fill_indices per lane. `first` is the first probe,
+/// bp[(nb+1)/2 - 1], the same for every lane because idx starts at 0. The
+/// V vectors share each step's constants and run V independent
+/// fetch / compare / add chains.
+template <int V, typename Vec, typename Tab>
+inline void bisect8(const Vec (&x)[V], const Tab& bp, Vec first,
+                    std::size_t nb, __m256i (&idx)[V]) {
+  std::size_t h = (nb + 1) / 2;
+  if (h == 0) {
+    for (int v = 0; v < V; ++v) idx[v] = _mm256_setzero_si256();
+    return;
+  }
+  const __m256i vh = _mm256_set1_epi32(static_cast<int>(h));
+  for (int v = 0; v < V; ++v) idx[v] = nlt_step(x[v], first, vh);
+  for (h /= 2; h > 1; h /= 2) {
+    const __m256i off = _mm256_set1_epi32(static_cast<int>(h - 1));
+    const __m256i step = _mm256_set1_epi32(static_cast<int>(h));
+    for (int v = 0; v < V; ++v) {
+      const auto d = fetch(bp, _mm256_add_epi32(idx[v], off));
+      idx[v] = _mm256_add_epi32(idx[v], nlt_step(x[v], d, step));
+    }
+  }
+  if (h == 1) {  // the last probe is bp[idx]
+    const __m256i one = _mm256_set1_epi32(1);
+    for (int v = 0; v < V; ++v)
+      idx[v] = _mm256_add_epi32(idx[v],
+                                nlt_step(x[v], fetch(bp, idx[v]), one));
+  }
+}
+
+/// The bisection loop over p[0, n) in steps of 8 lanes. `load` maps 8
+/// inputs to the values the breakpoints are compared with (the FP32
+/// inputs, their binary16-rounded images, or the quantized INT32 grid
+/// values); `finish` fetches, multiplies-adds and stores one vector from
+/// those values and its segment indices. kBisectVectors vectors per trip
+/// keep their chains in flight together, the remainder goes one vector at
+/// a time. Returns where the scalar tail starts.
+template <typename Tab, typename Load, typename Finish>
+inline std::size_t bisect_loop8(float* p, std::size_t n, const Tab& bp,
+                                std::size_t nb, Load load, Finish finish) {
   using Vec = decltype(load(p));
+  const Vec first = nb == 0 ? Vec{}
+                            : fetch(bp, _mm256_set1_epi32(
+                                            static_cast<int>((nb + 1) / 2 - 1)));
   std::size_t i = 0;
-  for (; i + 8 * kScanVectors <= n; i += 8 * kScanVectors) {
-    Vec x[kScanVectors];
-    __m256i idx[kScanVectors];
-    for (int v = 0; v < kScanVectors; ++v) x[v] = load(p + i + 8 * v);
-    scan8(x, bp, nb, idx);
-    for (int v = 0; v < kScanVectors; ++v) finish(p + i + 8 * v, x[v], idx[v]);
+  for (; i + 8 * kBisectVectors <= n; i += 8 * kBisectVectors) {
+    Vec x[kBisectVectors];
+    __m256i idx[kBisectVectors];
+    for (int v = 0; v < kBisectVectors; ++v) x[v] = load(p + i + 8 * v);
+    bisect8(x, bp, first, nb, idx);
+    for (int v = 0; v < kBisectVectors; ++v)
+      finish(p + i + 8 * v, x[v], idx[v]);
   }
   for (; i + 8 <= n; i += 8) {
     Vec x[1] = {load(p + i)};
     __m256i idx[1];
-    scan8(x, bp, nb, idx);
+    bisect8(x, bp, first, nb, idx);
     finish(p + i, x[0], idx[0]);
   }
   return i;
@@ -161,7 +257,7 @@ inline __m256 int_mac8(__m256i qs, __m256i qx, __m256i qt, __m256 vso) {
   return _mm256_mul_ps(_mm256_set_m128(f[1], f[0]), vso);
 }
 
-/// The FP32 inputs, as the comparator bank sees them.
+/// The FP32 inputs, as the breakpoints are compared with them.
 inline __m256 load8(const float* q) { return _mm256_loadu_ps(q); }
 
 /// round_to_half on 8 lanes: one vcvtps2ph (round-to-nearest-even) and the
@@ -177,7 +273,7 @@ inline __m256 half_mac8(__m256 ss, __m256 xh, __m256 tt) {
   return round8_to_half(_mm256_add_ps(m, tt));
 }
 
-/// The binary16-rounded inputs, as the comparator bank sees them.
+/// The binary16-rounded inputs, as the breakpoints are compared with them.
 inline __m256 load8_half(const float* q) {
   return round8_to_half(_mm256_loadu_ps(q));
 }
@@ -186,62 +282,29 @@ inline __m256 load8_half(const float* q) {
 
 void avx2_fp32_eval(const float* bp, std::size_t nb, const float* s,
                     const float* t, float* p, std::size_t n) {
-  std::size_t i = 0;
-  if (nb == 0) {
-    const __m256 vs = _mm256_broadcast_ss(s);
-    const __m256 vt = _mm256_broadcast_ss(t);
-    for (; i + 8 <= n; i += 8) {
-      const __m256 x = _mm256_loadu_ps(p + i);
-      _mm256_storeu_ps(p + i, _mm256_add_ps(_mm256_mul_ps(vs, x), vt));
-    }
-  } else if (nb + 1 <= 8) {
-    // The whole padded bank fits one register: fetch by permute.
-    const __m256i lanes = leading_lanes(nb + 1);
-    const __m256 vs = _mm256_maskload_ps(s, lanes);
-    const __m256 vt = _mm256_maskload_ps(t, lanes);
-    i = scan_loop8(p, n, bp, nb, load8, [&](float* q, __m256 x, __m256i idx) {
-      const __m256 ss = _mm256_permutevar8x32_ps(vs, idx);
-      const __m256 tt = _mm256_permutevar8x32_ps(vt, idx);
-      _mm256_storeu_ps(q, _mm256_add_ps(_mm256_mul_ps(ss, x), tt));
-    });
-  } else {
-    i = scan_loop8(p, n, bp, nb, load8, [&](float* q, __m256 x, __m256i idx) {
-      const __m256 ss = _mm256_i32gather_ps(s, idx, 4);
-      const __m256 tt = _mm256_i32gather_ps(t, idx, 4);
-      _mm256_storeu_ps(q, _mm256_add_ps(_mm256_mul_ps(ss, x), tt));
-    });
-  }
+  const std::size_t i = with_tables(
+      bp, nb, s, t, [&](const auto& d, const auto& ss, const auto& tt) {
+        return bisect_loop8(p, n, d, nb, load8,
+                            [&](float* q, __m256 x, __m256i idx) {
+                              _mm256_storeu_ps(
+                                  q, _mm256_add_ps(
+                                         _mm256_mul_ps(fetch(ss, idx), x),
+                                         fetch(tt, idx)));
+                            });
+      });
   if (i < n) detail::scalar_fp32_eval(bp, nb, s, t, p + i, n - i);
 }
 
 void avx2_fp16_eval(const float* bp, std::size_t nb, const float* s,
                     const float* t, float* p, std::size_t n) {
-  std::size_t i = 0;
-  if (nb == 0) {
-    const __m256 vs = _mm256_broadcast_ss(s);
-    const __m256 vt = _mm256_broadcast_ss(t);
-    for (; i + 8 <= n; i += 8) {
-      const __m256 xh = round8_to_half(_mm256_loadu_ps(p + i));
-      _mm256_storeu_ps(p + i, half_mac8(vs, xh, vt));
-    }
-  } else if (nb + 1 <= 8) {
-    const __m256i lanes = leading_lanes(nb + 1);
-    const __m256 vs = _mm256_maskload_ps(s, lanes);
-    const __m256 vt = _mm256_maskload_ps(t, lanes);
-    i = scan_loop8(p, n, bp, nb, load8_half,
-                   [&](float* q, __m256 xh, __m256i idx) {
-                     const __m256 ss = _mm256_permutevar8x32_ps(vs, idx);
-                     const __m256 tt = _mm256_permutevar8x32_ps(vt, idx);
-                     _mm256_storeu_ps(q, half_mac8(ss, xh, tt));
-                   });
-  } else {
-    i = scan_loop8(p, n, bp, nb, load8_half,
-                   [&](float* q, __m256 xh, __m256i idx) {
-                     const __m256 ss = _mm256_i32gather_ps(s, idx, 4);
-                     const __m256 tt = _mm256_i32gather_ps(t, idx, 4);
-                     _mm256_storeu_ps(q, half_mac8(ss, xh, tt));
-                   });
-  }
+  const std::size_t i = with_tables(
+      bp, nb, s, t, [&](const auto& d, const auto& ss, const auto& tt) {
+        return bisect_loop8(p, n, d, nb, load8_half,
+                            [&](float* q, __m256 xh, __m256i idx) {
+                              _mm256_storeu_ps(q, half_mac8(fetch(ss, idx), xh,
+                                                            fetch(tt, idx)));
+                            });
+      });
   if (i < n) detail::scalar_fp16_eval(bp, nb, s, t, p + i, n - i);
 }
 
@@ -253,26 +316,15 @@ void avx2_int32_eval(const std::int32_t* bp, std::size_t nb,
   const auto quantized = [vsx](const float* q) {
     return int_quantize8(_mm256_loadu_ps(q), vsx);
   };
-  std::size_t i = 0;
-  if (nb + 1 <= 8 && nb != 0) {
-    const __m256i lanes = leading_lanes(nb + 1);
-    const __m256i vs = _mm256_maskload_epi32(s, lanes);
-    const __m256i vt = _mm256_maskload_epi32(t, lanes);
-    i = scan_loop8(p, n, bp, nb, quantized,
-                   [&](float* q, __m256i qx, __m256i idx) {
-                     const __m256i qs = _mm256_permutevar8x32_epi32(vs, idx);
-                     const __m256i qt = _mm256_permutevar8x32_epi32(vt, idx);
-                     _mm256_storeu_ps(q, int_mac8(qs, qx, qt, vso));
-                   });
-  } else {
-    // With nb == 0 the scan compares nothing and every index is 0.
-    i = scan_loop8(p, n, bp, nb, quantized,
-                   [&](float* q, __m256i qx, __m256i idx) {
-                     const __m256i qs = _mm256_i32gather_epi32(s, idx, 4);
-                     const __m256i qt = _mm256_i32gather_epi32(t, idx, 4);
-                     _mm256_storeu_ps(q, int_mac8(qs, qx, qt, vso));
-                   });
-  }
+  const std::size_t i = with_tables(
+      bp, nb, s, t, [&](const auto& d, const auto& qs, const auto& qt) {
+        return bisect_loop8(p, n, d, nb, quantized,
+                            [&](float* q, __m256i qx, __m256i idx) {
+                              _mm256_storeu_ps(
+                                  q, int_mac8(fetch(qs, idx), qx,
+                                              fetch(qt, idx), vso));
+                            });
+      });
   if (i < n) detail::scalar_int32_eval(bp, nb, s, t, sx, so, p + i, n - i);
 }
 

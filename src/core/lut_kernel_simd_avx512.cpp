@@ -6,12 +6,13 @@
 // chain runs wide on every AVX-512 machine (bit-identical to
 // numerics/half.h, NaN payloads and denormals included).
 //
-// Comparator results live in mask registers (one k-reg per compare,
-// accumulated with mask_add; the scan loop keeps 4 vectors in flight per
-// breakpoint broadcast). Tables of up to 32 padded entries fetch
-// (slope, intercept) with register permutes — vpermps for banks of <= 16
-// padded entries, vpermt2ps across a register pair for exactly 32 — and
-// larger ones gather; the scan itself is the same for every table size.
+// Segment selection is the bisection of detail::fill_indices on 16 lanes:
+// log2(padded entries) steps, each one probe fetch, one compare into a
+// mask register and one masked add, with kBisectVectors vectors in flight.
+// Breakpoint probes and the (slope, intercept) pair come from the same
+// table form: one register for <= 16 padded entries (vpermps / vpermd), a
+// register pair for exactly 32 (vpermt2ps / vpermt2d), and a gather for
+// larger tables.
 //
 // The same ISA-invariance rules apply: explicit mul then add (no FMA), the
 // exact round-half-away-from-zero quantizer, and int64 accumulators
@@ -33,57 +34,152 @@
 namespace nnlut::simd {
 namespace {
 
-/// Per-lane comparator of the bank: _CMP_NLT_UQ is exactly !(x < d), true
-/// for x >= d and for NaN; on the quantized INT32 grid it is x >= d.
-inline __mmask16 nlt_mask(__m512 x, const float* d) {
-  return _mm512_cmp_ps_mask(x, _mm512_set1_ps(*d), _CMP_NLT_UQ);
+/// The comparator of one bisection step: _CMP_NLT_UQ is exactly !(x < d),
+/// true for x >= d and for NaN; on the quantized INT32 grid it is x >= d.
+inline __mmask16 nlt(__m512 x, __m512 d) {
+  return _mm512_cmp_ps_mask(x, d, _CMP_NLT_UQ);
 }
-inline __mmask16 nlt_mask(__m512i qx, const std::int32_t* d) {
-  return _mm512_cmp_epi32_mask(qx, _mm512_set1_epi32(*d), _MM_CMPINT_NLT);
+inline __mmask16 nlt(__m512i qx, __m512i d) {
+  return _mm512_cmp_epi32_mask(qx, d, _MM_CMPINT_NLT);
 }
 
-/// Comparator-bank scan of V vectors of 16 lanes (FP32 or quantized INT32):
-/// idx counts the breakpoints each lane does not lie below. The V vectors
-/// share each breakpoint broadcast and run V independent compare / mask-add
-/// chains; per lane the sequence is the same for any V.
-template <int V, typename Vec, typename Bp>
-inline void scan16(const Vec (&x)[V], const Bp* bp, std::size_t nb,
-                   __m512i (&idx)[V]) {
-  const __m512i one = _mm512_set1_epi32(1);
-  for (int v = 0; v < V; ++v) idx[v] = _mm512_setzero_si512();
-  for (std::size_t j = 0; j < nb; ++j)
+/// Plan tables in the form their padded size allows, each with a per-lane
+/// fetch tab[i]: up to 16 entries in one register, exactly 32 in a
+/// register pair, larger ones in memory.
+template <typename T>
+struct Lanes;
+template <>
+struct Lanes<float> {
+  using Vec = __m512;
+};
+template <>
+struct Lanes<std::int32_t> {
+  using Vec = __m512i;
+};
+template <typename T>
+struct Reg {
+  typename Lanes<T>::Vec r;
+};
+template <typename T>
+struct RegPair {
+  typename Lanes<T>::Vec lo, hi;
+};
+template <typename T>
+struct Mem {
+  const T* p;
+};
+
+inline __m512 fetch(const Reg<float>& t, __m512i i) {
+  return _mm512_permutexvar_ps(i, t.r);
+}
+inline __m512i fetch(const Reg<std::int32_t>& t, __m512i i) {
+  return _mm512_permutexvar_epi32(i, t.r);
+}
+inline __m512 fetch(const RegPair<float>& t, __m512i i) {
+  return _mm512_permutex2var_ps(t.lo, i, t.hi);
+}
+inline __m512i fetch(const RegPair<std::int32_t>& t, __m512i i) {
+  return _mm512_permutex2var_epi32(t.lo, i, t.hi);
+}
+inline __m512 fetch(const Mem<float>& t, __m512i i) {
+  return _mm512_i32gather_ps(i, t.p, 4);
+}
+inline __m512i fetch(const Mem<std::int32_t>& t, __m512i i) {
+  return _mm512_i32gather_epi32(i, t.p, 4);
+}
+
+/// The first k <= 16 entries of a table, zero above.
+inline __mmask16 leading(std::size_t k) {
+  return static_cast<__mmask16>((1u << k) - 1u);
+}
+inline Reg<float> reg(const float* p, std::size_t k) {
+  return {_mm512_maskz_loadu_ps(leading(k), p)};
+}
+inline Reg<std::int32_t> reg(const std::int32_t* p, std::size_t k) {
+  return {_mm512_maskz_loadu_epi32(leading(k), p)};
+}
+/// 16 < k <= 32 entries (31 breakpoints or 32 segments).
+inline RegPair<float> reg_pair(const float* p, std::size_t k) {
+  return {_mm512_loadu_ps(p), _mm512_maskz_loadu_ps(leading(k - 16), p + 16)};
+}
+inline RegPair<std::int32_t> reg_pair(const std::int32_t* p, std::size_t k) {
+  return {_mm512_loadu_si512(p),
+          _mm512_maskz_loadu_epi32(leading(k - 16), p + 16)};
+}
+
+/// Runs body(bp, s, t) with the plan's breakpoint, slope and intercept
+/// tables (nb breakpoints, nb + 1 segments) in the form their padded size
+/// allows, and returns what it returns.
+template <typename Bp, typename St, typename Body>
+inline std::size_t with_tables(const Bp* bp, std::size_t nb, const St* s,
+                               const St* t, Body body) {
+  if (nb + 1 <= 16) return body(reg(bp, nb), reg(s, nb + 1), reg(t, nb + 1));
+  if (nb + 1 == 32)
+    return body(reg_pair(bp, nb), reg_pair(s, 32), reg_pair(t, 32));
+  return body(Mem<Bp>{bp}, Mem<St>{s}, Mem<St>{t});
+}
+
+/// Vectors per trip of the bisection loop below.
+constexpr int kBisectVectors = 8;
+
+/// Segment indices of V vectors of 16 lanes (FP32 or quantized INT32), the
+/// steps of detail::fill_indices per lane. `first` is the first probe,
+/// bp[(nb+1)/2 - 1], the same for every lane because idx starts at 0. The
+/// V vectors share each step's constants and run V independent
+/// fetch / compare / masked-add chains.
+template <int V, typename Vec, typename Tab>
+inline void bisect16(const Vec (&x)[V], const Tab& bp, Vec first,
+                     std::size_t nb, __m512i (&idx)[V]) {
+  std::size_t h = (nb + 1) / 2;
+  if (h == 0) {
+    for (int v = 0; v < V; ++v) idx[v] = _mm512_setzero_si512();
+    return;
+  }
+  const __m512i vh = _mm512_set1_epi32(static_cast<int>(h));
+  for (int v = 0; v < V; ++v) idx[v] = _mm512_maskz_mov_epi32(nlt(x[v], first), vh);
+  for (h /= 2; h > 1; h /= 2) {
+    const __m512i off = _mm512_set1_epi32(static_cast<int>(h - 1));
+    const __m512i step = _mm512_set1_epi32(static_cast<int>(h));
+    for (int v = 0; v < V; ++v) {
+      const auto d = fetch(bp, _mm512_add_epi32(idx[v], off));
+      idx[v] = _mm512_mask_add_epi32(idx[v], nlt(x[v], d), idx[v], step);
+    }
+  }
+  if (h == 1) {  // the last probe is bp[idx]
+    const __m512i one = _mm512_set1_epi32(1);
     for (int v = 0; v < V; ++v)
-      idx[v] = _mm512_mask_add_epi32(idx[v], nlt_mask(x[v], bp + j), idx[v],
-                                     one);
+      idx[v] = _mm512_mask_add_epi32(idx[v], nlt(x[v], fetch(bp, idx[v])),
+                                     idx[v], one);
+  }
 }
 
-/// Vectors per trip of the comparator-scan loop below.
-constexpr int kScanVectors = 4;
-
-/// The comparator-scan loop over p[0, n) in steps of 16 lanes. `load` maps
-/// 16 inputs to the values the bank compares (the FP32 inputs, their
-/// binary16-rounded images, or the quantized INT32 grid values); `finish`
-/// fetches, multiplies-adds and stores one vector from those values and
-/// its segment indices. kScanVectors vectors per trip keep their compare
-/// chains in flight together, the remainder goes one vector at a time.
-/// Returns where the scalar tail starts.
-template <typename Bp, typename Load, typename Finish>
-inline std::size_t scan_loop16(float* p, std::size_t n, const Bp* bp,
-                               std::size_t nb, Load load, Finish finish) {
+/// The bisection loop over p[0, n) in steps of 16 lanes. `load` maps 16
+/// inputs to the values the breakpoints are compared with (the FP32
+/// inputs, their binary16-rounded images, or the quantized INT32 grid
+/// values); `finish` fetches, multiplies-adds and stores one vector from
+/// those values and its segment indices. kBisectVectors vectors per trip
+/// keep their chains in flight together, the remainder goes one vector at
+/// a time. Returns where the scalar tail starts.
+template <typename Tab, typename Load, typename Finish>
+inline std::size_t bisect_loop16(float* p, std::size_t n, const Tab& bp,
+                                 std::size_t nb, Load load, Finish finish) {
   using Vec = decltype(load(p));
+  const Vec first = nb == 0 ? Vec{}
+                            : fetch(bp, _mm512_set1_epi32(
+                                            static_cast<int>((nb + 1) / 2 - 1)));
   std::size_t i = 0;
-  for (; i + 16 * kScanVectors <= n; i += 16 * kScanVectors) {
-    Vec x[kScanVectors];
-    __m512i idx[kScanVectors];
-    for (int v = 0; v < kScanVectors; ++v) x[v] = load(p + i + 16 * v);
-    scan16(x, bp, nb, idx);
-    for (int v = 0; v < kScanVectors; ++v)
+  for (; i + 16 * kBisectVectors <= n; i += 16 * kBisectVectors) {
+    Vec x[kBisectVectors];
+    __m512i idx[kBisectVectors];
+    for (int v = 0; v < kBisectVectors; ++v) x[v] = load(p + i + 16 * v);
+    bisect16(x, bp, first, nb, idx);
+    for (int v = 0; v < kBisectVectors; ++v)
       finish(p + i + 16 * v, x[v], idx[v]);
   }
   for (; i + 16 <= n; i += 16) {
     Vec x[1] = {load(p + i)};
     __m512i idx[1];
-    scan16(x, bp, nb, idx);
+    bisect16(x, bp, first, nb, idx);
     finish(p + i, x[0], idx[0]);
   }
   return i;
@@ -147,8 +243,8 @@ inline __m512 half_mac16(__m512 ss, __m512 xh, __m512 tt) {
   return round16_to_half(_mm512_add_ps(m, tt));
 }
 
-/// The values the comparator bank sees: the FP32 inputs, or (FP16 plans)
-/// their binary16-rounded images.
+/// The values the breakpoints are compared with: the FP32 inputs, or (FP16
+/// plans) their binary16-rounded images.
 inline __m512 load16(const float* q) { return _mm512_loadu_ps(q); }
 inline __m512 load16_half(const float* q) {
   return round16_to_half(_mm512_loadu_ps(q));
@@ -158,87 +254,30 @@ inline __m512 load16_half(const float* q) {
 
 void avx512_fp32_eval(const float* bp, std::size_t nb, const float* s,
                       const float* t, float* p, std::size_t n) {
-  std::size_t i = 0;
-  if (nb == 0) {
-    const __m512 vs = _mm512_set1_ps(s[0]);
-    const __m512 vt = _mm512_set1_ps(t[0]);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 x = _mm512_loadu_ps(p + i);
-      _mm512_storeu_ps(p + i, _mm512_add_ps(_mm512_mul_ps(vs, x), vt));
-    }
-  } else if (nb + 1 <= 16) {
-    const __mmask16 lanes = static_cast<__mmask16>((1u << (nb + 1)) - 1u);
-    const __m512 vs = _mm512_maskz_loadu_ps(lanes, s);
-    const __m512 vt = _mm512_maskz_loadu_ps(lanes, t);
-    i = scan_loop16(p, n, bp, nb, load16, [&](float* q, __m512 x,
-                                                  __m512i idx) {
-      const __m512 ss = _mm512_permutexvar_ps(idx, vs);
-      const __m512 tt = _mm512_permutexvar_ps(idx, vt);
-      _mm512_storeu_ps(q, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
-    });
-  } else if (nb + 1 == 32) {
-    // A vpermt2ps across a register pair covers padded banks of exactly 32
-    // entries.
-    const __m512 vs_lo = _mm512_loadu_ps(s);
-    const __m512 vs_hi = _mm512_loadu_ps(s + 16);
-    const __m512 vt_lo = _mm512_loadu_ps(t);
-    const __m512 vt_hi = _mm512_loadu_ps(t + 16);
-    i = scan_loop16(p, n, bp, nb, load16, [&](float* q, __m512 x,
-                                                  __m512i idx) {
-      const __m512 ss = _mm512_permutex2var_ps(vs_lo, idx, vs_hi);
-      const __m512 tt = _mm512_permutex2var_ps(vt_lo, idx, vt_hi);
-      _mm512_storeu_ps(q, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
-    });
-  } else {
-    i = scan_loop16(p, n, bp, nb, load16, [&](float* q, __m512 x,
-                                                  __m512i idx) {
-      const __m512 ss = _mm512_i32gather_ps(idx, s, 4);
-      const __m512 tt = _mm512_i32gather_ps(idx, t, 4);
-      _mm512_storeu_ps(q, _mm512_add_ps(_mm512_mul_ps(ss, x), tt));
-    });
-  }
+  const std::size_t i = with_tables(
+      bp, nb, s, t, [&](const auto& d, const auto& ss, const auto& tt) {
+        return bisect_loop16(p, n, d, nb, load16,
+                             [&](float* q, __m512 x, __m512i idx) {
+                               _mm512_storeu_ps(
+                                   q, _mm512_add_ps(
+                                          _mm512_mul_ps(fetch(ss, idx), x),
+                                          fetch(tt, idx)));
+                             });
+      });
   if (i < n) detail::scalar_fp32_eval(bp, nb, s, t, p + i, n - i);
 }
 
 void avx512_fp16_eval(const float* bp, std::size_t nb, const float* s,
                       const float* t, float* p, std::size_t n) {
-  std::size_t i = 0;
-  if (nb == 0) {
-    const __m512 vs = _mm512_set1_ps(s[0]);
-    const __m512 vt = _mm512_set1_ps(t[0]);
-    for (; i + 16 <= n; i += 16) {
-      const __m512 xh = round16_to_half(_mm512_loadu_ps(p + i));
-      _mm512_storeu_ps(p + i, half_mac16(vs, xh, vt));
-    }
-  } else if (nb + 1 <= 16) {
-    const __mmask16 lanes = static_cast<__mmask16>((1u << (nb + 1)) - 1u);
-    const __m512 vs = _mm512_maskz_loadu_ps(lanes, s);
-    const __m512 vt = _mm512_maskz_loadu_ps(lanes, t);
-    i = scan_loop16(p, n, bp, nb, load16_half, [&](float* q, __m512 xh,
-                                                       __m512i idx) {
-      const __m512 ss = _mm512_permutexvar_ps(idx, vs);
-      const __m512 tt = _mm512_permutexvar_ps(idx, vt);
-      _mm512_storeu_ps(q, half_mac16(ss, xh, tt));
-    });
-  } else if (nb + 1 == 32) {
-    const __m512 vs_lo = _mm512_loadu_ps(s);
-    const __m512 vs_hi = _mm512_loadu_ps(s + 16);
-    const __m512 vt_lo = _mm512_loadu_ps(t);
-    const __m512 vt_hi = _mm512_loadu_ps(t + 16);
-    i = scan_loop16(p, n, bp, nb, load16_half, [&](float* q, __m512 xh,
-                                                       __m512i idx) {
-      const __m512 ss = _mm512_permutex2var_ps(vs_lo, idx, vs_hi);
-      const __m512 tt = _mm512_permutex2var_ps(vt_lo, idx, vt_hi);
-      _mm512_storeu_ps(q, half_mac16(ss, xh, tt));
-    });
-  } else {
-    i = scan_loop16(p, n, bp, nb, load16_half, [&](float* q, __m512 xh,
-                                                       __m512i idx) {
-      const __m512 ss = _mm512_i32gather_ps(idx, s, 4);
-      const __m512 tt = _mm512_i32gather_ps(idx, t, 4);
-      _mm512_storeu_ps(q, half_mac16(ss, xh, tt));
-    });
-  }
+  const std::size_t i = with_tables(
+      bp, nb, s, t, [&](const auto& d, const auto& ss, const auto& tt) {
+        return bisect_loop16(p, n, d, nb, load16_half,
+                             [&](float* q, __m512 xh, __m512i idx) {
+                               _mm512_storeu_ps(
+                                   q, half_mac16(fetch(ss, idx), xh,
+                                                 fetch(tt, idx)));
+                             });
+      });
   if (i < n) detail::scalar_fp16_eval(bp, nb, s, t, p + i, n - i);
 }
 
@@ -250,37 +289,15 @@ void avx512_int32_eval(const std::int32_t* bp, std::size_t nb,
   const auto quantized = [vsx](const float* q) {
     return int_quantize16(_mm512_loadu_ps(q), vsx);
   };
-  std::size_t i = 0;
-  if (nb != 0 && nb + 1 <= 16) {
-    const __mmask16 lanes = static_cast<__mmask16>((1u << (nb + 1)) - 1u);
-    const __m512i vs = _mm512_maskz_loadu_epi32(lanes, s);
-    const __m512i vt = _mm512_maskz_loadu_epi32(lanes, t);
-    i = scan_loop16(p, n, bp, nb, quantized,
-                    [&](float* q, __m512i qx, __m512i idx) {
-                      const __m512i qs = _mm512_permutexvar_epi32(idx, vs);
-                      const __m512i qt = _mm512_permutexvar_epi32(idx, vt);
-                      _mm512_storeu_ps(q, int_mac16(qs, qx, qt, vso));
-                    });
-  } else if (nb + 1 == 32) {
-    const __m512i vs_lo = _mm512_loadu_si512(s);
-    const __m512i vs_hi = _mm512_loadu_si512(s + 16);
-    const __m512i vt_lo = _mm512_loadu_si512(t);
-    const __m512i vt_hi = _mm512_loadu_si512(t + 16);
-    i = scan_loop16(
-        p, n, bp, nb, quantized, [&](float* q, __m512i qx, __m512i idx) {
-          const __m512i qs = _mm512_permutex2var_epi32(vs_lo, idx, vs_hi);
-          const __m512i qt = _mm512_permutex2var_epi32(vt_lo, idx, vt_hi);
-          _mm512_storeu_ps(q, int_mac16(qs, qx, qt, vso));
-        });
-  } else {
-    // With nb == 0 the scan compares nothing and every index is 0.
-    i = scan_loop16(p, n, bp, nb, quantized,
-                    [&](float* q, __m512i qx, __m512i idx) {
-                      const __m512i qs = _mm512_i32gather_epi32(idx, s, 4);
-                      const __m512i qt = _mm512_i32gather_epi32(idx, t, 4);
-                      _mm512_storeu_ps(q, int_mac16(qs, qx, qt, vso));
-                    });
-  }
+  const std::size_t i = with_tables(
+      bp, nb, s, t, [&](const auto& d, const auto& qs, const auto& qt) {
+        return bisect_loop16(p, n, d, nb, quantized,
+                             [&](float* q, __m512i qx, __m512i idx) {
+                               _mm512_storeu_ps(
+                                   q, int_mac16(fetch(qs, idx), qx,
+                                                fetch(qt, idx), vso));
+                             });
+      });
   if (i < n) detail::scalar_int32_eval(bp, nb, s, t, sx, so, p + i, n - i);
 }
 

@@ -22,7 +22,7 @@
 namespace nnlut::simd::detail {
 
 // Elements per indexing block: the element block plus the scratch index
-// buffer stay in L1 between the scan pass and the MAC pass.
+// buffer stay in L1 between the index pass and the MAC pass.
 inline constexpr std::size_t kBlock = 512;
 
 // Clamp bound of the float->int32 quantizer: the largest round magnitude
@@ -38,22 +38,30 @@ inline constexpr float kIntQClamp = 2.147e9f;
   return static_cast<std::int32_t>(std::clamp(q, -kIntQClamp, kIntQClamp));
 }
 
-/// Comparator-bank segment index for m elements: idx[i] counts the
-/// breakpoints d with !(x < d), which equals std::upper_bound(..) - begin
-/// for every input including NaN (all comparisons true -> padded tail,
-/// which replicates the last segment). Breakpoint-outer / element-inner:
-/// the inner loop is a contiguous compare-and-accumulate the vectorizer
-/// handles; this is the software shape of the hardware's parallel
-/// comparator bank (Eq. 4).
+/// Segment index for m elements by branchless bisection over the nb =
+/// 2^k - 1 sorted, padded breakpoints: idx = 0, then for h = (nb+1)/2 ... 1,
+/// idx += h when !(x < bp[idx + h - 1]). The breakpoints are
+/// non-decreasing, so the predicate !(x < d_j) holds on a prefix of j and
+/// the bisection lands on the prefix length — the count of breakpoints
+/// with !(x < d) that Eq. 4's comparator bank produces, and
+/// std::upper_bound(..) - begin, for every input including NaN (every
+/// comparison true -> padded tail, which replicates the last segment). The
+/// wide tiers run the same steps per lane.
 template <typename T, typename X>
 static inline void fill_indices(const T* bp, std::size_t nb, const X* xs,
                                 std::size_t m, std::uint32_t* idx) {
-  for (std::size_t i = 0; i < m; ++i) idx[i] = 0;
-  for (std::size_t j = 0; j < nb; ++j) {
-    const T b = bp[j];
-    for (std::size_t i = 0; i < m; ++i)
-      idx[i] += static_cast<std::uint32_t>(!(xs[i] < b));
+  std::uint32_t h = static_cast<std::uint32_t>((nb + 1) / 2);
+  if (h == 0) {
+    for (std::size_t i = 0; i < m; ++i) idx[i] = 0;
+    return;
   }
+  // idx starts at 0, so every element's first probe is bp[h - 1].
+  const T first = bp[h - 1];
+  for (std::size_t i = 0; i < m; ++i)
+    idx[i] = h * static_cast<std::uint32_t>(!(xs[i] < first));
+  while ((h /= 2) != 0)
+    for (std::size_t i = 0; i < m; ++i)
+      idx[i] += h * static_cast<std::uint32_t>(!(xs[i] < bp[idx[i] + h - 1]));
 }
 
 /// FP16 MAC: every intermediate rounds through binary16. Operands must
@@ -68,11 +76,6 @@ static inline void fill_indices(const T* bp, std::size_t nb, const X* xs,
 [[maybe_unused]] static inline void scalar_fp32_eval(
     const float* bp, std::size_t nb, const float* s,
     const float* t, float* p, std::size_t n) {
-  if (nb == 0) {
-    const float s0 = s[0], t0 = t[0];
-    for (std::size_t i = 0; i < n; ++i) p[i] = s0 * p[i] + t0;
-    return;
-  }
   std::uint32_t idx[kBlock];
   while (n != 0) {
     const std::size_t m = std::min(n, kBlock);
@@ -96,13 +99,9 @@ static inline void fill_indices(const T* bp, std::size_t nb, const X* xs,
   while (n != 0) {
     const std::size_t m = std::min(n, kBlock);
     for (std::size_t i = 0; i < m; ++i) xh[i] = round_to_half(p[i]);
-    if (nb == 0) {
-      for (std::size_t i = 0; i < m; ++i) p[i] = half_mac(s[0], xh[i], t[0]);
-    } else {
-      fill_indices(bp, nb, xh, m, idx);
-      for (std::size_t i = 0; i < m; ++i)
-        p[i] = half_mac(s[idx[i]], xh[i], t[idx[i]]);
-    }
+    fill_indices(bp, nb, xh, m, idx);
+    for (std::size_t i = 0; i < m; ++i)
+      p[i] = half_mac(s[idx[i]], xh[i], t[idx[i]]);
     p += m;
     n -= m;
   }

@@ -173,10 +173,10 @@ TEST_P(KernelParity, Int32BatchedMatchesScalarBitwise) {
   }
 }
 
-// Entry counts straddling every fetch shape of the comparator-bank scan:
-// one-register permute (padded <= 8 / 16), the AVX-512 register-pair
-// permute (padded 32) and the gather fetch (padded > 32 on AVX-512, > 8 on
-// AVX2), plus non-powers of two that exercise the padding.
+// Entry counts straddling every table fetch of the bisection: one-register
+// permute (padded <= 8 on AVX2, <= 16 on AVX-512), register-pair permute
+// (padded 16 on AVX2, 32 on AVX-512) and the gather (larger), plus
+// non-powers of two that exercise the padding.
 INSTANTIATE_TEST_SUITE_P(Entries, KernelParity,
                          ::testing::Values(1, 2, 3, 5, 8, 16, 31, 32, 33, 64,
                                            100, 128, 300));
@@ -503,6 +503,193 @@ TEST(SimdTierParity, Int32MacInt16PairBoundarySweep) {
       }
     }
   }
+}
+
+// --------------------------------- bisection against the comparator walk ---
+//
+// Plans select a segment by bisecting their sorted, padded breakpoints. A
+// bisection returns the comparator bank's count only while !(x < d_j)
+// holds on a prefix of j, so these cases aim at the inputs and tables
+// where that could fail: every binary16 input, every ulp around every
+// breakpoint, signed zeros, denormals, non-finite values, and breakpoints
+// that collapse to equal values after FP16 rounding or INT32 quantization.
+// Every available tier must match the per-element comparator walks above.
+
+/// Both NaN, or the same bits.
+bool same_bits(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+/// Evaluates xs under every available tier at all three precisions and
+/// compares each output with the per-element references: lut(x),
+/// fp16_reference and int32_reference. Reports the mismatch count and the
+/// first mismatch per precision and tier.
+void expect_walk_parity(const PiecewiseLinear& lut, float input_max_abs,
+                        const std::vector<float>& xs, const char* what) {
+  const LutFp16 half_fn(lut);
+  const LutInt32 int_fn(lut, input_max_abs);
+  struct Precision {
+    const char* name;
+    std::function<void(std::span<float>)> eval;
+    std::function<float(float)> ref;
+  };
+  const Precision precisions[] = {
+      {"fp32", [&](std::span<float> b) { lut.eval_inplace(b); },
+       [&](float x) { return lut(x); }},
+      {"fp16", [&](std::span<float> b) { half_fn.eval_inplace(b); },
+       [&](float x) { return fp16_reference(lut, x); }},
+      {"int32", [&](std::span<float> b) { int_fn.eval_inplace(b); },
+       [&](float x) { return int32_reference(lut, input_max_abs, x); }},
+  };
+  for (const Precision& prec : precisions) {
+    std::vector<float> want(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) want[i] = prec.ref(xs[i]);
+    for (SimdTier tier : simd::available_simd_tiers()) {
+      ScopedTier forced(tier);
+      std::vector<float> got = xs;
+      prec.eval(got);
+      std::size_t bad = 0, first = 0;
+      for (std::size_t i = 0; i < xs.size(); ++i)
+        if (!same_bits(want[i], got[i]) && bad++ == 0) first = i;
+      EXPECT_EQ(bad, 0u) << what << " " << prec.name << " under "
+                         << simd::simd_tier_name(tier) << " (entries "
+                         << lut.slopes().size() << "): first x=" << xs[first]
+                         << " want " << want[first] << " got " << got[first];
+    }
+  }
+}
+
+/// Every binary16 image, NaNs and infinities included, as FP32 inputs.
+std::vector<float> all_binary16_images() {
+  std::vector<float> xs(1u << 16);
+  for (std::uint32_t b = 0; b < xs.size(); ++b)
+    xs[b] = Half::from_bits(static_cast<std::uint16_t>(b)).to_float();
+  return xs;
+}
+
+/// x stepped -2..+2 ulps around every breakpoint, then signed zeros, the
+/// denormal edges, the normal and finite extremes, the infinities and NaN.
+std::vector<float> ulps_around_breakpoints(const PiecewiseLinear& lut) {
+  std::vector<float> xs;
+  for (float b : lut.breakpoints()) {
+    const float lo = std::nextafter(b, -kInf);
+    const float hi = std::nextafter(b, kInf);
+    for (float x : {std::nextafter(lo, -kInf), lo, b, hi,
+                    std::nextafter(hi, kInf)})
+      xs.push_back(x);
+  }
+  constexpr float kDenormMin = std::numeric_limits<float>::denorm_min();
+  const float denorm_max = std::bit_cast<float>(0x007fffffu);
+  constexpr float kNormMin = std::numeric_limits<float>::min();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  for (float x : {0.0f, kDenormMin, denorm_max, kNormMin, kMax, kInf}) {
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  xs.push_back(kNan);
+  xs.push_back(-kNan);
+  return xs;
+}
+
+/// `entries` segments whose breakpoints come in clusters of four, 1e-5
+/// apart: every cluster collapses to one binary16 value, and (at input
+/// scale 24 / 32767) to one or two INT32 grid values.
+PiecewiseLinear collapsing_lut(int entries, Rng& rng) {
+  std::vector<float> bps, slopes, intercepts;
+  float base = -6.0f;
+  for (int i = 1; i < entries; ++i) {
+    if ((i - 1) % 4 == 0) base += 0.375f;
+    bps.push_back(base + 1e-5f * static_cast<float>((i - 1) % 4));
+  }
+  for (int i = 0; i < entries; ++i) {
+    slopes.push_back(rng.uniform(-3.0f, 3.0f));
+    intercepts.push_back(rng.uniform(-2.0f, 2.0f));
+  }
+  return PiecewiseLinear(bps, slopes, intercepts);
+}
+
+class BisectionParity : public ::testing::TestWithParam<int> {};
+
+TEST_P(BisectionParity, EveryBinary16InputMatchesTheWalk) {
+  // The FP16 plan compares half-rounded inputs only, so the 65536 binary16
+  // images cover every compare outcome it can see.
+  Rng rng(401u + static_cast<std::uint64_t>(GetParam()));
+  const std::vector<float> xs = all_binary16_images();
+  expect_walk_parity(random_lut(GetParam(), rng), 24.0f, xs, "random");
+  expect_walk_parity(collapsing_lut(GetParam(), rng), 24.0f, xs,
+                     "collapsing");
+}
+
+TEST_P(BisectionParity, UlpsAroundEveryBreakpointMatchTheWalk) {
+  Rng rng(409u + static_cast<std::uint64_t>(GetParam()));
+  const PiecewiseLinear random = random_lut(GetParam(), rng);
+  expect_walk_parity(random, 24.0f, ulps_around_breakpoints(random),
+                     "random");
+  const PiecewiseLinear collapsing = collapsing_lut(GetParam(), rng);
+  expect_walk_parity(collapsing, 24.0f, ulps_around_breakpoints(collapsing),
+                     "collapsing");
+}
+
+// One-register, register-pair and gather tables on both wide tiers, plus
+// the padding of non-powers of two.
+INSTANTIATE_TEST_SUITE_P(Entries, BisectionParity,
+                         ::testing::Values(2, 3, 8, 9, 16, 17, 32, 33, 64,
+                                           128));
+
+TEST(BisectionParity, ExtremeAndSignedZeroBreakpointsMatchTheWalk) {
+  // Breakpoints at the finite extremes, around zero and on the denormal
+  // edges: the probes see -0 == +0, denormals and values that round to
+  // +-inf in binary16 (so padding +inf equals real breakpoints there).
+  const float kDenormMin = std::numeric_limits<float>::denorm_min();
+  const float kMax = std::numeric_limits<float>::max();
+  const std::vector<float> bps = {-kMax,      -70000.0f,  -1.0f,
+                                  -kDenormMin, 0.0f,       kDenormMin,
+                                  std::numeric_limits<float>::min(),
+                                  1.0f,        70000.0f,   kMax};
+  std::vector<float> slopes, intercepts;
+  for (std::size_t i = 0; i <= bps.size(); ++i) {
+    slopes.push_back(0.25f * static_cast<float>(i) - 1.0f);
+    intercepts.push_back(static_cast<float>(i));
+  }
+  const PiecewiseLinear lut(bps, slopes, intercepts);
+  std::vector<float> xs = ulps_around_breakpoints(lut);
+  const std::vector<float> halves = all_binary16_images();
+  xs.insert(xs.end(), halves.begin(), halves.end());
+  expect_walk_parity(lut, 24.0f, xs, "extremes");
+}
+
+TEST(BisectionParity, BreakpointsCollapsedAtTheQuantizerClampMatchTheWalk) {
+  // At input scale 1e-3 / 32767, breakpoints beyond +-65.6 quantize to the
+  // +-kIntQClamp saturation value, so three adjacent breakpoints on each
+  // side become equal; inputs that quantize to +-kIntQClamp sit exactly on
+  // them. 70000 and up also collapse to +inf in binary16, where the +inf
+  // padding sits.
+  using simd::detail::kIntQClamp;
+  const float input_max_abs = 1e-3f;
+  const float sx = input_max_abs / 32767.0f;
+  const std::vector<float> bps = {-300.0f, -200.0f,  -100.0f, -1e-4f, 0.0f,
+                                  1e-4f,   100.0f,   200.0f,  300.0f, 70000.0f,
+                                  80000.0f};
+  std::vector<float> slopes, intercepts;
+  for (std::size_t i = 0; i <= bps.size(); ++i) {
+    slopes.push_back(i % 2 == 0 ? 0.5f : -0.75f);
+    intercepts.push_back(1e-3f * static_cast<float>(i));
+  }
+  const PiecewiseLinear lut(bps, slopes, intercepts);
+  ASSERT_EQ(ref_quantize(-300.0f, sx), ref_quantize(-100.0f, sx));
+  ASSERT_EQ(ref_quantize(300.0f, sx), ref_quantize(100.0f, sx));
+
+  std::vector<float> xs = ulps_around_breakpoints(lut);
+  for (float q : {kIntQClamp, std::nextafter(kIntQClamp, 0.0f), 1e12f}) {
+    xs.push_back(q * sx);
+    xs.push_back(-q * sx);
+  }
+  for (float x : {65.0f, 66.0f, 1e6f}) {
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  expect_walk_parity(lut, input_max_abs, xs, "clamp");
 }
 
 // ------------------------------------------------------- owned plans ------
