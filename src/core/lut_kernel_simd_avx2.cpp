@@ -5,11 +5,13 @@
 // `_mm256_cmp_ps(x, d, _CMP_NLT_UQ)` (on the INT32 grid, the complement of
 // `d > x`) and one masked add, with kBisectVectors vectors in flight. The
 // predicate is exactly the comparator of Eq. 4's bank, so the index (and
-// NaN landing in the padded tail) matches the scalar tier. Breakpoint
-// probes and the (slope, intercept) pair come from the same table form:
-// one register for <= 8 padded entries (vpermps / vpermd), a register pair
-// for exactly 16 (two vpermps and a blend on index bit 3), and a
-// _mm256_i32gather_ps / _epi32 gather for larger tables.
+// NaN landing in the padded tail) matches the scalar tier. A register
+// holds only 8 breakpoints, so each step fetches its probe from that
+// step's own table of candidates (see Probes): one vpermps / vpermd for
+// up to 8 candidates, two and a blend for 16, a gather beyond. The
+// (slope, intercept) pair comes from one register for <= 8 padded
+// entries, a register pair for 16, and a _mm256_i32gather_ps / _epi32
+// gather for larger tables.
 //
 // FP16 plans store FP32 images of half-rounded constants and round every
 // MAC intermediate through binary16. This tier replaces the software
@@ -126,58 +128,96 @@ inline Reg<float> reg(const float* p, std::size_t k) {
 inline Reg<std::int32_t> reg(const std::int32_t* p, std::size_t k) {
   return {_mm256_maskload_epi32(p, leading(k))};
 }
-/// 8 < k <= 16 entries (15 breakpoints or 16 segments).
-inline RegPair<float> reg_pair(const float* p, std::size_t k) {
-  return {_mm256_loadu_ps(p), _mm256_maskload_ps(p + 8, leading(k - 8))};
+/// Exactly 16 entries.
+inline RegPair<float> reg_pair(const float* p) {
+  return {_mm256_loadu_ps(p), _mm256_loadu_ps(p + 8)};
 }
-inline RegPair<std::int32_t> reg_pair(const std::int32_t* p, std::size_t k) {
+inline RegPair<std::int32_t> reg_pair(const std::int32_t* p) {
   return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
-          _mm256_maskload_epi32(p + 8, leading(k - 8))};
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8))};
 }
 
-/// Runs body(bp, s, t) with the plan's breakpoint, slope and intercept
-/// tables (nb breakpoints, nb + 1 segments) in the form their padded size
-/// allows, and returns what it returns.
-template <typename Bp, typename St, typename Body>
-inline std::size_t with_tables(const Bp* bp, std::size_t nb, const St* s,
-                               const St* t, Body body) {
-  if (nb + 1 <= 8) return body(reg(bp, nb), reg(s, nb + 1), reg(t, nb + 1));
-  if (nb + 1 == 16)
-    return body(reg_pair(bp, nb), reg_pair(s, 16), reg_pair(t, 16));
-  return body(Mem<Bp>{bp}, Mem<St>{s}, Mem<St>{t});
+/// Runs body(s, t) with the plan's slope and intercept tables (nb + 1
+/// entries) in the form their size allows, and returns what it returns.
+template <typename St, typename Body>
+inline std::size_t with_tables(std::size_t nb, const St* s, const St* t,
+                               Body body) {
+  if (nb + 1 <= 8) return body(reg(s, nb + 1), reg(t, nb + 1));
+  if (nb + 1 == 16) return body(reg_pair(s), reg_pair(t));
+  return body(Mem<St>{s}, Mem<St>{t});
 }
+
+/// The breakpoint probes of every bisection step. Step l (half-width
+/// h = (nb + 1) / 2^(l+1)) probes bp[idx + h - 1], where idx is a multiple
+/// of 2h, so its 2^l possible probes are bp[(2j + 1) h - 1] and a lane's
+/// is entry j = idx / 2h. The steps with at most 16 probes keep them in
+/// one table each, built once per call and fetched from one register
+/// (steps 1-3) or a register pair (step 4), instead of gathering from bp;
+/// the later steps of larger plans gather. Step 0 probes one breakpoint.
+template <typename T>
+struct Probes {
+  using Vec = typename Lanes<T>::Vec;
+  int steps = 0;  // log2(nb + 1)
+  const T* bp;
+  Vec first;
+  Reg<T> regs[4];  // steps 1-3; regs[0] unused
+  RegPair<T> pair;
+
+  Probes(const T* breakpoints, std::size_t nb) : bp(breakpoints) {
+    while ((std::size_t{1} << steps) < nb + 1) ++steps;
+    alignas(32) T table[16] = {};
+    for (int l = 0; l < steps && l < 5; ++l) {
+      const std::size_t h = std::size_t{1} << (steps - 1 - l);
+      for (std::size_t j = 0; j < (std::size_t{1} << l); ++j)
+        table[j] = bp[(2 * j + 1) * h - 1];
+      if (l == 0) first = fetch(reg(table, 1), _mm256_setzero_si256());
+      if (l >= 1 && l <= 3) regs[l] = reg(table, 8);
+      if (l == 4) pair = reg_pair(table);
+    }
+  }
+};
 
 /// Vectors per trip of the bisection loop below.
 constexpr int kBisectVectors = 4;
 
+/// idx += h in the lanes where !(x < probe(idx)), for V vectors.
+template <int V, typename Vec, typename Probe>
+inline void bisect_step8(const Vec (&x)[V], __m256i (&idx)[V], int h,
+                         Probe probe) {
+  const __m256i step = _mm256_set1_epi32(h);
+  for (int v = 0; v < V; ++v)
+    idx[v] = _mm256_add_epi32(idx[v], nlt_step(x[v], probe(idx[v]), step));
+}
+
 /// Segment indices of V vectors of 8 lanes (FP32 or quantized INT32), the
-/// steps of detail::fill_indices per lane. `first` is the first probe,
-/// bp[(nb+1)/2 - 1], the same for every lane because idx starts at 0. The
-/// V vectors share each step's constants and run V independent
-/// fetch / compare / add chains.
-template <int V, typename Vec, typename Tab>
-inline void bisect8(const Vec (&x)[V], const Tab& bp, Vec first,
-                    std::size_t nb, __m256i (&idx)[V]) {
-  std::size_t h = (nb + 1) / 2;
-  if (h == 0) {
-    for (int v = 0; v < V; ++v) idx[v] = _mm256_setzero_si256();
-    return;
+/// steps of detail::fill_indices per lane. The V vectors share each step's
+/// probe table and run V independent fetch / compare / add chains.
+template <int V, typename Vec, typename T>
+inline void bisect8(const Vec (&x)[V], const Probes<T>& pr,
+                    __m256i (&idx)[V]) {
+  for (int v = 0; v < V; ++v) idx[v] = _mm256_setzero_si256();
+  const int steps = pr.steps;
+  if (steps == 0) return;
+  bisect_step8(x, idx, 1 << (steps - 1), [&](__m256i) { return pr.first; });
+  int l = 1;
+  for (; l < steps && l < 4; ++l) {
+    const __m256i log2_2h = _mm256_set1_epi32(steps - l);
+    const Reg<T>& t = pr.regs[l];
+    bisect_step8(x, idx, 1 << (steps - 1 - l), [&](__m256i i) {
+      return fetch(t, _mm256_srlv_epi32(i, log2_2h));
+    });
   }
-  const __m256i vh = _mm256_set1_epi32(static_cast<int>(h));
-  for (int v = 0; v < V; ++v) idx[v] = nlt_step(x[v], first, vh);
-  for (h /= 2; h > 1; h /= 2) {
-    const __m256i off = _mm256_set1_epi32(static_cast<int>(h - 1));
-    const __m256i step = _mm256_set1_epi32(static_cast<int>(h));
-    for (int v = 0; v < V; ++v) {
-      const auto d = fetch(bp, _mm256_add_epi32(idx[v], off));
-      idx[v] = _mm256_add_epi32(idx[v], nlt_step(x[v], d, step));
-    }
+  if (l < steps) {  // step 4: 16 probes
+    const __m256i log2_2h = _mm256_set1_epi32(steps - l);
+    bisect_step8(x, idx, 1 << (steps - 1 - l), [&](__m256i i) {
+      return fetch(pr.pair, _mm256_srlv_epi32(i, log2_2h));
+    });
+    ++l;
   }
-  if (h == 1) {  // the last probe is bp[idx]
-    const __m256i one = _mm256_set1_epi32(1);
-    for (int v = 0; v < V; ++v)
-      idx[v] = _mm256_add_epi32(idx[v],
-                                nlt_step(x[v], fetch(bp, idx[v]), one));
+  for (; l < steps; ++l) {
+    const int h = 1 << (steps - 1 - l);
+    const Mem<T> t{pr.bp + h - 1};
+    bisect_step8(x, idx, h, [&](__m256i i) { return fetch(t, i); });
   }
 }
 
@@ -188,26 +228,23 @@ inline void bisect8(const Vec (&x)[V], const Tab& bp, Vec first,
 /// those values and its segment indices. kBisectVectors vectors per trip
 /// keep their chains in flight together, the remainder goes one vector at
 /// a time. Returns where the scalar tail starts.
-template <typename Tab, typename Load, typename Finish>
-inline std::size_t bisect_loop8(float* p, std::size_t n, const Tab& bp,
-                                std::size_t nb, Load load, Finish finish) {
+template <typename T, typename Load, typename Finish>
+inline std::size_t bisect_loop8(float* p, std::size_t n, const Probes<T>& pr,
+                                Load load, Finish finish) {
   using Vec = decltype(load(p));
-  const Vec first = nb == 0 ? Vec{}
-                            : fetch(bp, _mm256_set1_epi32(
-                                            static_cast<int>((nb + 1) / 2 - 1)));
   std::size_t i = 0;
   for (; i + 8 * kBisectVectors <= n; i += 8 * kBisectVectors) {
     Vec x[kBisectVectors];
     __m256i idx[kBisectVectors];
     for (int v = 0; v < kBisectVectors; ++v) x[v] = load(p + i + 8 * v);
-    bisect8(x, bp, first, nb, idx);
+    bisect8(x, pr, idx);
     for (int v = 0; v < kBisectVectors; ++v)
       finish(p + i + 8 * v, x[v], idx[v]);
   }
   for (; i + 8 <= n; i += 8) {
     Vec x[1] = {load(p + i)};
     __m256i idx[1];
-    bisect8(x, bp, first, nb, idx);
+    bisect8(x, pr, idx);
     finish(p + i, x[0], idx[0]);
   }
   return i;
@@ -282,9 +319,10 @@ inline __m256 load8_half(const float* q) {
 
 void avx2_fp32_eval(const float* bp, std::size_t nb, const float* s,
                     const float* t, float* p, std::size_t n) {
-  const std::size_t i = with_tables(
-      bp, nb, s, t, [&](const auto& d, const auto& ss, const auto& tt) {
-        return bisect_loop8(p, n, d, nb, load8,
+  const Probes<float> pr(bp, nb);
+  const std::size_t i =
+      with_tables(nb, s, t, [&](const auto& ss, const auto& tt) {
+        return bisect_loop8(p, n, pr, load8,
                             [&](float* q, __m256 x, __m256i idx) {
                               _mm256_storeu_ps(
                                   q, _mm256_add_ps(
@@ -297,9 +335,10 @@ void avx2_fp32_eval(const float* bp, std::size_t nb, const float* s,
 
 void avx2_fp16_eval(const float* bp, std::size_t nb, const float* s,
                     const float* t, float* p, std::size_t n) {
-  const std::size_t i = with_tables(
-      bp, nb, s, t, [&](const auto& d, const auto& ss, const auto& tt) {
-        return bisect_loop8(p, n, d, nb, load8_half,
+  const Probes<float> pr(bp, nb);
+  const std::size_t i =
+      with_tables(nb, s, t, [&](const auto& ss, const auto& tt) {
+        return bisect_loop8(p, n, pr, load8_half,
                             [&](float* q, __m256 xh, __m256i idx) {
                               _mm256_storeu_ps(q, half_mac8(fetch(ss, idx), xh,
                                                             fetch(tt, idx)));
@@ -316,9 +355,10 @@ void avx2_int32_eval(const std::int32_t* bp, std::size_t nb,
   const auto quantized = [vsx](const float* q) {
     return int_quantize8(_mm256_loadu_ps(q), vsx);
   };
-  const std::size_t i = with_tables(
-      bp, nb, s, t, [&](const auto& d, const auto& qs, const auto& qt) {
-        return bisect_loop8(p, n, d, nb, quantized,
+  const Probes<std::int32_t> pr(bp, nb);
+  const std::size_t i =
+      with_tables(nb, s, t, [&](const auto& qs, const auto& qt) {
+        return bisect_loop8(p, n, pr, quantized,
                             [&](float* q, __m256i qx, __m256i idx) {
                               _mm256_storeu_ps(
                                   q, int_mac8(fetch(qs, idx), qx,
