@@ -136,7 +136,8 @@ inline void bisect16(const Vec (&x)[V], const Tab& bp, Vec first,
     return;
   }
   const __m512i vh = _mm512_set1_epi32(static_cast<int>(h));
-  for (int v = 0; v < V; ++v) idx[v] = _mm512_maskz_mov_epi32(nlt(x[v], first), vh);
+  for (int v = 0; v < V; ++v)
+    idx[v] = _mm512_maskz_mov_epi32(nlt(x[v], first), vh);
   for (h /= 2; h > 1; h /= 2) {
     const __m512i off = _mm512_set1_epi32(static_cast<int>(h - 1));
     const __m512i step = _mm512_set1_epi32(static_cast<int>(h));
@@ -164,9 +165,8 @@ template <typename Tab, typename Load, typename Finish>
 inline std::size_t bisect_loop16(float* p, std::size_t n, const Tab& bp,
                                  std::size_t nb, Load load, Finish finish) {
   using Vec = decltype(load(p));
-  const Vec first = nb == 0 ? Vec{}
-                            : fetch(bp, _mm512_set1_epi32(
-                                            static_cast<int>((nb + 1) / 2 - 1)));
+  const int h = static_cast<int>((nb + 1) / 2);
+  const Vec first = h == 0 ? Vec{} : fetch(bp, _mm512_set1_epi32(h - 1));
   std::size_t i = 0;
   for (; i + 16 * kBisectVectors <= n; i += 16 * kBisectVectors) {
     Vec x[kBisectVectors];
