@@ -55,10 +55,19 @@ static inline void fill_indices(const T* bp, std::size_t nb, const X* xs,
     for (std::size_t i = 0; i < m; ++i) idx[i] = 0;
     return;
   }
-  // idx starts at 0, so every element's first probe is bp[h - 1].
+  // idx starts at 0, so every element's first probe is bp[h - 1], and its
+  // second is bp[h2 - 1] or bp[h + h2 - 1]: both levels select between
+  // broadcast probes, with no per-element load, so the compiler vectorizes
+  // them. With one breakpoint h2 is 0 and the second level adds nothing.
   const T first = bp[h - 1];
-  for (std::size_t i = 0; i < m; ++i)
-    idx[i] = h * static_cast<std::uint32_t>(!(xs[i] < first));
+  const std::uint32_t h2 = h / 2;
+  const T lo = h2 != 0 ? bp[h2 - 1] : first, hi = bp[h + h2 - 1];
+  for (std::size_t i = 0; i < m; ++i) {
+    const bool up = !(xs[i] < first);
+    idx[i] = h * static_cast<std::uint32_t>(up) +
+             h2 * static_cast<std::uint32_t>(!(xs[i] < (up ? hi : lo)));
+  }
+  h = h2;
   while ((h /= 2) != 0)
     for (std::size_t i = 0; i < m; ++i)
       idx[i] += h * static_cast<std::uint32_t>(!(xs[i] < bp[idx[i] + h - 1]));

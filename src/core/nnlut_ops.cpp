@@ -72,7 +72,7 @@ void SoftmaxApprox::rows(std::span<float> data, std::size_t nrows,
     return;
   }
   // Rows are independent: shard row blocks across the pool, each block
-  // running the batched three-pass kernel over its sub-span.
+  // running the tiled kernel (rows_block) over its sub-span.
   runtime::parallel_for(0, nrows, runtime::grain_for(3 * ncols),
                         [&](std::size_t r0, std::size_t r1) {
                           rows_block(data.data() + r0 * ncols, r1 - r0, ncols);
@@ -86,13 +86,22 @@ void SoftmaxApprox::rows_block(float* data, std::size_t nrows,
   // Warm-once per thread: a serving slot's blocks stop growing it after the
   // first request of its largest seq bucket.
   acc.resize(nrows);  // lint:allow hot-alloc
-  k.softmax_shift(data, nrows, ncols, kExpRange.lo, kExpRange.hi);
-  // One EXP LUT pass over every shifted logit of every row in the block.
-  exp_fn_->eval_inplace(std::span<float>(data, nrows * ncols));
-  k.row_sums(data, nrows, ncols, acc.data());
-  // One Divide LUT pass over all the block's row normalizers.
-  recip_fn_->eval_inplace(acc);
-  k.scale_rows(data, nrows, ncols, acc.data());
+  // The five passes run per tile of rows, so a tile's logits stay in L1 from
+  // the shift to the scale. Each pass is per element or per row, so tiling
+  // changes no bit. A multiple of 8 rows keeps the 8-row kernels full.
+  const std::size_t tile =
+      std::max<std::size_t>(8, kSoftmaxTileFloats / ncols / 8 * 8);
+  for (std::size_t r0 = 0; r0 < nrows; r0 += tile) {
+    const std::size_t n = std::min(tile, nrows - r0);
+    float* p = data + r0 * ncols;
+    k.softmax_shift(p, n, ncols, kExpRange.lo, kExpRange.hi);
+    // One EXP LUT call over every shifted logit of the tile.
+    exp_fn_->eval_inplace(std::span<float>(p, n * ncols));
+    k.row_sums(p, n, ncols, acc.data() + r0);
+    // One Divide LUT call over the tile's row normalizers.
+    recip_fn_->eval_inplace(std::span<float>(acc.data() + r0, n));
+    k.scale_rows(p, n, ncols, acc.data() + r0);
+  }
 }
 
 float LayerNormApprox::inv_std(float v) const {

@@ -9,12 +9,14 @@
 //
 // Both ops are batch-granular: single-row entry points feed one span
 // through the backend's batched primitive, and the rows() entry points
-// evaluate a whole [rows x cols] block with one backend call per LUT (all
-// shifted logits through the EXP LUT at once, all row normalizers through
-// the Divide LUT at once, all row variances through the 1/SQRT LUT at once).
+// evaluate a [rows x cols] block with few backend calls per LUT. Softmax
+// runs the block in L1-sized row tiles, each with one EXP LUT call over the
+// tile's shifted logits and one Divide LUT call over its row normalizers;
+// LayerNorm makes one 1/SQRT LUT call over all the block's row variances.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <optional>
 #include <span>
 
@@ -22,6 +24,11 @@
 #include "numerics/math.h"
 
 namespace nnlut {
+
+/// Logits per row tile of SoftmaxApprox::rows (16 KiB): small enough that
+/// a tile stays in L1 across its five passes. A tile is
+/// max(8, kSoftmaxTileFloats / ncols rounded down to a multiple of 8) rows.
+inline constexpr std::size_t kSoftmaxTileFloats = 4096;
 
 /// Softmax replacement: y_i = explut(x_i - max) * reciplut(sum_j explut(...)).
 ///
@@ -40,10 +47,13 @@ class SoftmaxApprox {
 
   /// `nrows` contiguous rows of length `ncols`, in place. Row blocks are
   /// sharded across the runtime thread pool (rows are independent, so the
-  /// result is bit-identical for any pool size); each block runs one EXP LUT
-  /// call over all its shifted logits and one Divide LUT call over all its
-  /// normalizers. The passes around those two calls (max, shift and clamp,
-  /// sums, scale) run on the active SIMD tier (core/nnlut_row_kernel.h):
+  /// result is bit-identical for any pool size). Each block walks its rows
+  /// in tiles of about kSoftmaxTileFloats logits, so a tile stays in L1
+  /// through all five passes: max, shift and clamp; one EXP LUT call over
+  /// the tile's shifted logits; row sums; one Divide LUT call over the
+  /// tile's normalizers; scale. Every pass is per element or per row, so
+  /// the tile size changes no bit. The passes around the two LUT calls run
+  /// on the active SIMD tier (core/nnlut_row_kernel.h):
   /// the baseline interleaves 8 row reductions, the AVX-512 tier takes each
   /// row max 16 lanes wide and sums 8 rows per vector. Every row is still
   /// reduced in ascending column order with operator()'s expressions, so

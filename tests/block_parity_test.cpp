@@ -245,6 +245,60 @@ TEST(BlockParity, SoftmaxMaxFallbackRowsMatchPerRow) {
   });
 }
 
+/// parity_input rows with a max-fallback row (NaN, max +0 with a -0 later,
+/// or max -0 with a +0 later, cycling) as the first and the last row of
+/// every softmax tile of a one-lane block, and as the block's last row.
+std::vector<float> tile_edge_input(std::size_t nrows, std::size_t ncols) {
+  const std::size_t tile =
+      std::max<std::size_t>(8, kSoftmaxTileFloats / ncols / 8 * 8);
+  std::vector<float> x = parity_input(nrows, ncols, 8.0f);
+  std::uint64_t state = 0x74696c65ull + nrows;
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const std::size_t pos = r % tile;
+    if (pos != 0 && pos != tile - 1 && r != nrows - 1) continue;
+    float* row = x.data() + r * ncols;
+    const std::size_t kind = (r / tile + (pos != 0)) % 3;
+    if (kind == 0) {
+      row[(r * 7) % ncols] = std::numeric_limits<float>::quiet_NaN();
+      continue;
+    }
+    for (std::size_t c = 0; c < ncols; ++c)
+      row[c] = bit_built_uniform(state, -8.0f, -0.5f);
+    const float first_zero = kind == 1 ? 0.0f : -0.0f;
+    row[(r * 5) % ncols] = first_zero;
+    row[ncols - 1] = -first_zero;
+  }
+  return x;
+}
+
+/// The softmax row tiles: block heights that end a tile part-way and on its
+/// edge, widths whose tile is 64, 32 and 8 rows, and the 8-row floor (4096
+/// and 4097 columns), with max-fallback rows on every tile edge.
+TEST(BlockParity, LutSoftmaxTileEdgesMatchPerRow) {
+  constexpr std::size_t kTileRows[] = {31, 32, 33, 40, 63, 65, 100, 1537};
+  constexpr std::size_t kTileCols[] = {64, 128, 384, 4096, 4097};
+  for (const LutPrecision p : kPrecisions) {
+    const auto exp = make_lut_fn(bit_built_table(1, 16, kExpSpec), p, 256.0f);
+    const auto recip =
+        make_lut_fn(bit_built_table(2, 16, kRecipSpec), p, 1024.0f);
+    const SoftmaxApprox sm(*exp, *recip);
+    for_each_runtime([&] {
+      for (const std::size_t nrows : kTileRows)
+        for (const std::size_t ncols : kTileCols) {
+          const std::vector<float> x = tile_edge_input(nrows, ncols);
+          std::vector<float> block = x, rows = x;
+          sm.rows(block, nrows, ncols);
+          for (std::size_t r = 0; r < nrows; ++r)
+            sm(std::span<float>(rows).subspan(r * ncols, ncols));
+          expect_same_bits(block, rows,
+                           "lut softmax tiles p" +
+                               std::to_string(static_cast<int>(p)) +
+                               where(nrows, ncols));
+        }
+    });
+  }
+}
+
 TEST(BlockParity, IBertRowsMatchPerRow) {
   for_each_runtime([&] {
     for (const std::size_t nrows : kRows)
