@@ -88,9 +88,8 @@ void SoftmaxApprox::rows_block(float* data, std::size_t nrows,
   acc.resize(nrows);  // lint:allow hot-alloc
   // The five passes run per tile of rows, so a tile's logits stay in L1 from
   // the shift to the scale. Each pass is per element or per row, so tiling
-  // changes no bit. A multiple of 8 rows keeps the 8-row kernels full.
-  const std::size_t tile =
-      std::max<std::size_t>(8, kSoftmaxTileFloats / ncols / 8 * 8);
+  // changes no bit.
+  const std::size_t tile = softmax_tile_rows(ncols);
   for (std::size_t r0 = 0; r0 < nrows; r0 += tile) {
     const std::size_t n = std::min(tile, nrows - r0);
     float* p = data + r0 * ncols;

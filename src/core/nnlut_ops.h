@@ -15,6 +15,7 @@
 // LayerNorm makes one 1/SQRT LUT call over all the block's row variances.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <optional>
@@ -26,9 +27,15 @@
 namespace nnlut {
 
 /// Logits per row tile of SoftmaxApprox::rows (16 KiB): small enough that
-/// a tile stays in L1 across its five passes. A tile is
-/// max(8, kSoftmaxTileFloats / ncols rounded down to a multiple of 8) rows.
+/// a tile stays in L1 across its five passes.
 inline constexpr std::size_t kSoftmaxTileFloats = 4096;
+
+/// Rows per softmax tile at `ncols` logits a row: kSoftmaxTileFloats / ncols
+/// rounded down to a multiple of 8, at least 8, so the 8-row kernels stay
+/// full.
+constexpr std::size_t softmax_tile_rows(std::size_t ncols) {
+  return std::max<std::size_t>(8, kSoftmaxTileFloats / ncols / 8 * 8);
+}
 
 /// Softmax replacement: y_i = explut(x_i - max) * reciplut(sum_j explut(...)).
 ///
@@ -48,7 +55,7 @@ class SoftmaxApprox {
   /// `nrows` contiguous rows of length `ncols`, in place. Row blocks are
   /// sharded across the runtime thread pool (rows are independent, so the
   /// result is bit-identical for any pool size). Each block walks its rows
-  /// in tiles of about kSoftmaxTileFloats logits, so a tile stays in L1
+  /// in tiles of softmax_tile_rows(ncols) rows, so a tile stays in L1
   /// through all five passes: max, shift and clamp; one EXP LUT call over
   /// the tile's shifted logits; row sums; one Divide LUT call over the
   /// tile's normalizers; scale. Every pass is per element or per row, so

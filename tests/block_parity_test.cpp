@@ -249,8 +249,7 @@ TEST(BlockParity, SoftmaxMaxFallbackRowsMatchPerRow) {
 /// or max -0 with a +0 later, cycling) as the first and the last row of
 /// every softmax tile of a one-lane block, and as the block's last row.
 std::vector<float> tile_edge_input(std::size_t nrows, std::size_t ncols) {
-  const std::size_t tile =
-      std::max<std::size_t>(8, kSoftmaxTileFloats / ncols / 8 * 8);
+  const std::size_t tile = softmax_tile_rows(ncols);
   std::vector<float> x = parity_input(nrows, ncols, 8.0f);
   std::uint64_t state = 0x74696c65ull + nrows;
   for (std::size_t r = 0; r < nrows; ++r) {
